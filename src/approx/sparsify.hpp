@@ -1,20 +1,21 @@
-// Eps-pruned Algorithm 4.1: the exact leaves-up E+ build with a
-// witness-based sparsification pass at every emission site.
+// Eps-pruned Algorithm 4.1: the emission policy that sparsifies E+.
 //
-// The recursive builder (core/builder_recursive.hpp) emits, per node,
-// the *complete* shortcut graph on its separator and boundary sets.
+// The exact builder (core/builder_recursive.hpp) emits, per node, the
+// *complete* shortcut graph on its separator and boundary sets.
 // Completeness is what makes E+ large: most of those k(k-1) pairs are
 // nearly the composition of two other pairs through some well-connected
-// "pivot" vertex of the same set. This builder keeps the build-side
-// recursion exact and prunes only what gets emitted:
+// "pivot" vertex of the same set. build_augmentation_sparsified runs the
+// same node step (core/node_step.hpp) under the same leaves-up driver,
+// so the recursion stays exact; only PrunedEmission, the policy that
+// turns each node's matrices into shortcut edges, differs:
 //
 //   * Per emission set (leaf B x B, internal S x S, internal B x B) a
 //     handful of pivot vertices is chosen by connectivity score; every
 //     pair touching a pivot is always emitted (the pivot "star").
 //   * A non-pivot pair (i, j) of value v is dropped iff some pivot p
 //     witnesses it within the certified slack:
-//         extend(m[i][p], m[p][j]) <= v + floor(delta_l * v)
-//     where delta_l is the pruning budget of the node's level.
+//         extend(m[i][p], m[p][j]) <= v + floor(delta * v)
+//     where delta is the pruning budget.
 //   * Budgets below kMinPruneDelta disable pruning outright. The floor
 //     on the slack alone is not enough for a clean exact limit: scaled
 //     values grow like 1/eps, so floor(delta * v) converges to
@@ -33,19 +34,17 @@
 //     path absorbs. Like pruning it is enabled only when delta > 0, so
 //     the exact limit stays bit-for-bit.
 //
-// Error composition — why budgets combine by max, not by product: the
-// boundary matrices handed to the parent are the *exact* child
-// distances (pruning touches only the emitted copy), so every retained
-// witness pair carries an exact value. A query path decomposes into
-// consecutive shortcut segments; replacing one dropped segment (i, j)
-// by its witness (i, p), (p, j) costs at most a (1 + delta_l) factor
-// on that segment alone and both replacement edges are themselves
+// Error composition — why one budget serves every level: the boundary
+// matrices handed to the parent are the *exact* child distances
+// (pruning touches only the emitted copy), so every retained witness
+// pair carries an exact value. A query path decomposes into consecutive
+// shortcut segments; replacing one dropped segment (i, j) by its
+// witness (i, p), (p, j) costs at most a (1 + delta) factor on that
+// segment alone, and both replacement edges are themselves
 // retained-and-exact, never re-inflated by another level's budget.
-// Summing segment bounds, a path is stretched by at most
-// (1 + max_l delta_l) end to end. A uniform per-level schedule
-// delta_l = delta is therefore optimal: tapering any level only
-// shrinks its pruning power without buying the other levels anything.
-// sparsify_level_delta() keeps the per-level hook explicit.
+// Summing segment bounds, a path is stretched by at most (1 + delta)
+// end to end. Tapering the budget on some level would only shrink its
+// pruning power without buying the other levels anything.
 //
 // Query-side caveat the engine must honor: a witness pair (i, p),
 // (p, j) lives on the *same* tree level as the dropped pair, so a
@@ -59,18 +58,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/augment.hpp"
 #include "core/builder_recursive.hpp"
-#include "core/builder_scratch.hpp"
+#include "core/node_step.hpp"
 #include "obs/obs.hpp"
-#include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
-#include "util/vertex_index.hpp"
 
 namespace sepsp {
 
@@ -89,9 +85,9 @@ struct SparsifyStats {
   /// three-hop composition through the (emitted) S x S closure. They
   /// consume no error budget.
   std::uint64_t hop_compressed = 0;
-  double delta = 0.0;  ///< per-level pruning budget delta_l
-  /// max_l delta_l over levels that actually dropped something — the
-  /// factor the build certifies (0 when nothing was pruned).
+  double delta = 0.0;  ///< pruning budget (relative slack)
+  /// The factor the build certifies: delta when something was pruned,
+  /// else 0.
   double delta_used = 0.0;
 };
 
@@ -111,12 +107,6 @@ inline constexpr std::size_t kSparsifyMinSet = 2 * kSparsifyPivots;
 /// eps -> 0 limit would never reach the exact build.
 inline constexpr double kMinPruneDelta = 1e-4;
 
-/// The per-level budget schedule (see the header comment for why the
-/// uniform schedule is the right one).
-inline double sparsify_level_delta(double delta, std::uint32_t /*level*/) {
-  return delta;
-}
-
 struct PruneCounters {
   std::atomic<std::uint64_t> kept{0};
   std::atomic<std::uint64_t> dropped{0};
@@ -132,11 +122,6 @@ inline bool hop_compress_node(const DecompNode& t, double delta) {
   return delta > 0.0 && b != 0 && s != 0 && 2 * b * s < pair_count(b);
 }
 
-/// Emits the complete ordered-pair set over `verts` (values from
-/// at(i, j), indices into `verts`) into `out`, dropping witnessed
-/// non-pivot pairs as described above. Returns past-the-end of the
-/// emitted entries; the caller pads its slice. Emission order matches
-/// the exact builder's (i-major), so a zero-drop run is bit-identical.
 /// Chooses up to kSparsifyPivots pivot indices over a k-element set with
 /// values at(i, j). Candidates are ranked by how widely they reach and
 /// are reached: fewest unreachable partners first, then smallest summed
@@ -179,6 +164,11 @@ std::size_t select_pivots(std::size_t k, const At& at,
   return kSparsifyPivots;
 }
 
+/// Emits the complete ordered-pair set over `verts` (values from
+/// at(i, j), indices into `verts`) into `out`, dropping witnessed
+/// non-pivot pairs as described above. Returns past-the-end of the
+/// emitted entries; the driver pads the slice. Emission order matches
+/// FullEmission's (i-major), so a zero-drop run is bit-identical.
 template <typename At>
 Shortcut<TropicalI>* emit_pruned(std::span<const Vertex> verts, const At& at,
                                  double delta, Shortcut<TropicalI>* out,
@@ -231,340 +221,137 @@ Shortcut<TropicalI>* emit_pruned(std::span<const Vertex> verts, const At& at,
   return out;
 }
 
+/// Emission policy of the sparsified builder (see the header comment).
+/// One instance serves every node task of a build; its counters are
+/// atomics.
+struct PrunedEmission {
+  using S = TropicalI;
+
+  double delta = 0.0;
+  PruneCounters counters;
+
+  std::size_t slice(const DecompNode& t) const {
+    if (!t.is_leaf() && hop_compress_node(t, delta)) {
+      return pair_count(t.separator.size()) +
+             2 * t.boundary.size() * t.separator.size();
+    }
+    return FullEmission::slice(t);
+  }
+
+  template <typename M>
+  Shortcut<S>* square(std::span<const Vertex> verts, const M& m,
+                      Shortcut<S>* out) {
+    return emit_pruned(
+        verts, [&](std::size_t i, std::size_t j) { return m.at(i, j); },
+        delta, out, counters);
+  }
+
+  Shortcut<S>* boundary(const DecompNode& t, const NodeScratch<S>& sc,
+                        Shortcut<S>* out) {
+    if (!hop_compress_node(t, delta)) {
+      return square(t.boundary, sc.boundary, out);
+    }
+    // The square is elided: emit the two rectangles the through product
+    // was built from (exact child distances; finite entries only — the
+    // padded tail covers the rest) and account the square's finite
+    // pairs as hop-compressed. The rectangles are witness-pruned with
+    // the S-side pivots of the hs closure: a witness hop rides a pivot
+    // column of the rectangle (always kept) and an hs star edge (always
+    // kept, exact), so dropped entries keep the one-level exact-witness
+    // invariant the error bound rests on.
+    const std::span<const Vertex> st = t.separator;
+    const std::span<const Vertex> bt = t.boundary;
+    const Matrix<S>& hs = sc.hs;
+    const Matrix<S>& b_to_s = sc.b_to_s;
+    const Matrix<S>& s_to_b = sc.s_to_b;
+    std::array<std::size_t, kSparsifyPivots> spiv{};
+    const std::size_t nsp = select_pivots(
+        st.size(), [&](std::size_t i, std::size_t j) { return hs.at(i, j); },
+        spiv);
+    auto is_pivot = [&](std::size_t q) {
+      for (std::size_t p = 0; p < nsp; ++p) {
+        if (spiv[p] == q) return true;
+      }
+      return false;
+    };
+    // Whether a rectangle entry of value v is witnessed within the
+    // slack by some pivot hop, hop(sp) being the pivot route's value.
+    auto witnessed = [&](S::Value v, std::size_t q, const auto& hop) {
+      const S::Value slack =
+          static_cast<S::Value>(delta * static_cast<double>(v));
+      if (nsp == 0 || slack < 1 || is_pivot(q)) return false;
+      for (std::size_t sp = 0; sp < nsp; ++sp) {
+        if (hop(spiv[sp]) <= v + slack) return true;
+      }
+      return false;
+    };
+    std::uint64_t rect_kept = 0, rect_dropped = 0, square = 0;
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      for (std::size_t q = 0; q < st.size(); ++q) {
+        const S::Value to_s = b_to_s.at(p, q);
+        if (to_s < S::kInf) {
+          if (witnessed(to_s, q, [&](std::size_t piv) {
+                return S::extend(b_to_s.at(p, piv), hs.at(piv, q));
+              })) {
+            ++rect_dropped;
+          } else {
+            *out++ = {bt[p], st[q], to_s};
+            ++rect_kept;
+          }
+        }
+        const S::Value from_s = s_to_b.at(q, p);
+        if (from_s < S::kInf) {
+          if (witnessed(from_s, q, [&](std::size_t piv) {
+                return S::extend(hs.at(q, piv), s_to_b.at(piv, p));
+              })) {
+            ++rect_dropped;
+          } else {
+            *out++ = {st[q], bt[p], from_s};
+            ++rect_kept;
+          }
+        }
+      }
+    }
+    for (std::size_t p = 0; p < bt.size(); ++p) {
+      for (std::size_t q = 0; q < bt.size(); ++q) {
+        if (p != q && sc.boundary.at(p, q) < S::kInf) ++square;
+      }
+    }
+    counters.kept.fetch_add(rect_kept, std::memory_order_relaxed);
+    counters.dropped.fetch_add(rect_dropped, std::memory_order_relaxed);
+    counters.hop_compressed.fetch_add(square, std::memory_order_relaxed);
+    return out;
+  }
+};
+
 }  // namespace detail
 
 /// Algorithm 4.1 with eps-pruned emission, for the rounded-integer
-/// semiring. Identical recursion and scratch machinery as
-/// build_augmentation_recursive<TropicalI>; only the emitted shortcut
-/// sets differ. `delta` is the per-level pruning budget (relative
-/// slack); `delta < kMinPruneDelta` (in particular 0) reproduces the
-/// exact builder's output bit-for-bit. Node slices are sized for the
-/// unpruned counts and
-/// padded with zero()-valued entries, which dedup_shortcuts() removes
-/// along with ordinary unreachable pairs.
+/// semiring: the leaves-up driver of build_augmentation_recursive with
+/// PrunedEmission in place of the full squares. `delta` is the pruning
+/// budget (relative slack); `delta < kMinPruneDelta` (in particular 0)
+/// reproduces build_augmentation_recursive<TropicalI> bit-for-bit.
 inline Augmentation<TropicalI> build_augmentation_sparsified(
     const Digraph& g, const SeparatorTree& tree, ClosureKind closure,
     double delta, SparsifyStats* stats = nullptr) {
-  using S = TropicalI;
-  using detail::kNpos;
-
   SEPSP_TRACE_SPAN("build.sparsified");
   if (delta < detail::kMinPruneDelta) delta = 0.0;
-  const pram::CostScope scope;
-  Augmentation<S> aug;
-  aug.levels = compute_levels(tree);
-  aug.height = tree.height();
-  aug.ell = leaf_diameter_bound(tree);
-
-  const std::size_t num_nodes = tree.num_nodes();
-  std::vector<Matrix<S>> bnd(num_nodes);
-
-  // Slices are sized for the *unpruned* counts — pruning decisions are
-  // data-dependent, but a slice can only shrink. The unused tail of a
-  // node's slice is padded with zero()-valued entries the final dedup
-  // provably drops (no path beats the combine identity).
-  std::vector<std::size_t> offsets(num_nodes);
-  for (std::size_t id = 0; id < num_nodes; ++id) {
-    const DecompNode& t = tree.node(id);
-    if (t.is_leaf()) {
-      offsets[id] = detail::pair_count(t.boundary.size());
-    } else if (detail::hop_compress_node(t, delta)) {
-      offsets[id] = detail::pair_count(t.separator.size()) +
-                    2 * t.boundary.size() * t.separator.size();
-    } else {
-      offsets[id] = detail::pair_count(t.separator.size()) +
-                    (t.boundary.empty()
-                         ? 0
-                         : detail::pair_count(t.boundary.size()));
-    }
-  }
-  aug.shortcuts.resize(detail::offsets_from_counts(offsets));
-
-  detail::ScratchPool<detail::RecursiveScratch<S>> scratch_pool([&] {
-    return std::make_unique<detail::RecursiveScratch<S>>(g.num_vertices());
-  });
-
-  detail::PruneCounters counters;
-  std::atomic<std::uint64_t> delta_used_bits{0};
-  auto pad = [&](Shortcut<S>* out, std::size_t id) {
-    Shortcut<S>* const end = aug.shortcuts.data() + offsets[id + 1];
-    SEPSP_DCHECK(out <= end);
-    while (out != end) *out++ = {0, 0, S::zero()};
-  };
-  auto note_drop_budget = [&](std::uint64_t before, double used) {
-    // Record the largest per-level budget that actually dropped a pair
-    // (monotone CAS on the double's bit pattern; budgets are >= 0).
-    if (counters.dropped.load(std::memory_order_relaxed) == before) return;
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(used);
-    std::uint64_t cur = delta_used_bits.load(std::memory_order_relaxed);
-    while (std::bit_cast<double>(cur) < used &&
-           !delta_used_bits.compare_exchange_weak(cur, bits,
-                                                  std::memory_order_relaxed)) {
-    }
-  };
-
-  // --- leaves: exact local APSP, pruned B x B emission ------------------
-  auto process_leaf = [&](std::size_t id, double delta_l) {
-    SEPSP_TRACE_SPAN("build.leaf");
-    auto scratch = scratch_pool.acquire();
-    const DecompNode& t = tree.node(id);
-    const std::span<const Vertex> verts = t.vertices;
-    scratch->map0.bind(verts);
-    Matrix<S>& local = scratch->local;
-    local.reset(verts.size());
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      local.at(i, i) = S::one();
-      for (const Arc& a : g.out(verts[i])) {
-        const std::size_t j = scratch->map0.find(a.to);
-        if (j != kNpos) local.merge(i, j, S::from_weight(a.weight));
-      }
-    }
-    floyd_warshall(local);
-    const std::span<const Vertex> b = t.boundary;
-    Matrix<S> bm(b.size());
-    for (std::size_t p = 0; p < b.size(); ++p) {
-      const std::size_t ip = scratch->map0.find(b[p]);
-      for (std::size_t q = 0; q < b.size(); ++q) {
-        bm.at(p, q) = local.at(ip, scratch->map0.find(b[q]));
-      }
-    }
-    const std::uint64_t before = counters.dropped.load(std::memory_order_relaxed);
-    Shortcut<S>* out = detail::emit_pruned(
-        b, [&](std::size_t p, std::size_t q) { return bm.at(p, q); }, delta_l,
-        aug.shortcuts.data() + offsets[id], counters);
-    note_drop_budget(before, delta_l);
-    pad(out, id);
-    bnd[id] = std::move(bm);
-  };
-
-  // --- internal nodes: steps i-v, pruned S x S and B x B emission -------
-  auto process_internal = [&](std::size_t id, double delta_l) {
-    SEPSP_TRACE_SPAN("build.internal");
-    auto scratch = scratch_pool.acquire();
-    const DecompNode& t = tree.node(id);
-    const std::span<const Vertex> st = t.separator;
-    const std::span<const Vertex> bt = t.boundary;
-    const std::array<std::size_t, 2> kids = {
-        static_cast<std::size_t>(t.child[0]),
-        static_cast<std::size_t>(t.child[1])};
-
-    scratch->map0.bind(tree.node(kids[0]).boundary);
-    scratch->map1.bind(tree.node(kids[1]).boundary);
-    const detail::VertexIndexMap* child_map[2] = {&scratch->map0,
-                                                  &scratch->map1};
-    for (int c = 0; c < 2; ++c) {
-      auto& s_in_child = scratch->s_in_child[c];
-      s_in_child.resize(st.size());
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        s_in_child[i] = child_map[c]->find(st[i]);
-        SEPSP_CHECK_MSG(s_in_child[i] != kNpos,
-                        "separator vertex missing from child boundary");
-      }
-      auto& b_in_child = scratch->b_in_child[c];
-      b_in_child.resize(bt.size());
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        b_in_child[p] = child_map[c]->find(bt[p]);
-      }
-    }
-
-    Matrix<S>& hs = scratch->hs;
-    hs.reset(st.size());
-    for (int c = 0; c < 2; ++c) {
-      const Matrix<S>& cm = bnd[kids[c]];
-      const auto& s_in_child = scratch->s_in_child[c];
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        for (std::size_t j = 0; j < st.size(); ++j) {
-          hs.merge(i, j, cm.at(s_in_child[i], s_in_child[j]));
-        }
-      }
-    }
-    detail::run_closure(hs, closure, scratch->square);
-    const std::uint64_t before = counters.dropped.load(std::memory_order_relaxed);
-    Shortcut<S>* out = detail::emit_pruned(
-        st, [&](std::size_t i, std::size_t j) { return hs.at(i, j); }, delta_l,
-        aug.shortcuts.data() + offsets[id], counters);
-
-    if (!bt.empty()) {
-      Matrix<S>& b_to_s = scratch->b_to_s;
-      Matrix<S>& s_to_b = scratch->s_to_b;
-      b_to_s.reset(bt.size(), st.size());
-      s_to_b.reset(st.size(), bt.size());
-      for (int c = 0; c < 2; ++c) {
-        const Matrix<S>& cm = bnd[kids[c]];
-        const auto& s_in_child = scratch->s_in_child[c];
-        const auto& b_in_child = scratch->b_in_child[c];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < st.size(); ++q) {
-            b_to_s.merge(p, q, cm.at(bp, s_in_child[q]));
-            s_to_b.merge(q, p, cm.at(s_in_child[q], bp));
-          }
-        }
-      }
-      multiply_into(b_to_s, hs, scratch->tmp);
-      multiply_into(scratch->tmp, s_to_b, scratch->through);
-      const Matrix<S>& through = scratch->through;
-      Matrix<S> bm(bt.size());
-      for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        for (std::size_t q = 0; q < bt.size(); ++q) {
-          bm.merge(p, q, through.at(p, q));
-        }
-      }
-      for (int c = 0; c < 2; ++c) {
-        const Matrix<S>& cm = bnd[kids[c]];
-        const auto& b_in_child = scratch->b_in_child[c];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < bt.size(); ++q) {
-            const std::size_t bq = b_in_child[q];
-            if (bq == kNpos) continue;
-            bm.merge(p, q, cm.at(bp, bq));
-          }
-        }
-      }
-      if (detail::hop_compress_node(t, delta)) {
-        // The square is elided: emit the two rectangles the through
-        // product was built from (exact child distances; finite entries
-        // only — the padded tail covers the rest) and account the
-        // square's finite pairs as hop-compressed. The rectangles are
-        // witness-pruned with the S-side pivots of the hs closure: a
-        // witness hop rides a pivot column of the rectangle (always
-        // kept) and an hs star edge (always kept, exact), so dropped
-        // entries keep the one-level exact-witness invariant the error
-        // bound rests on.
-        std::array<std::size_t, detail::kSparsifyPivots> spiv{};
-        const std::size_t nsp = detail::select_pivots(
-            st.size(),
-            [&](std::size_t i, std::size_t j) { return hs.at(i, j); }, spiv);
-        auto is_pivot = [&](std::size_t q) {
-          for (std::size_t p = 0; p < nsp; ++p) {
-            if (spiv[p] == q) return true;
-          }
-          return false;
-        };
-        std::uint64_t rect_kept = 0, rect_dropped = 0, square = 0;
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          for (std::size_t q = 0; q < st.size(); ++q) {
-            const S::Value to_s = b_to_s.at(p, q);
-            if (to_s < S::kInf) {
-              bool drop = false;
-              const S::Value slack =
-                  static_cast<S::Value>(delta_l * static_cast<double>(to_s));
-              if (nsp != 0 && slack >= 1 && !is_pivot(q)) {
-                const S::Value bound = to_s + slack;
-                for (std::size_t sp = 0; sp < nsp && !drop; ++sp) {
-                  drop = S::extend(b_to_s.at(p, spiv[sp]),
-                                   hs.at(spiv[sp], q)) <= bound;
-                }
-              }
-              if (drop) {
-                ++rect_dropped;
-              } else {
-                *out++ = {bt[p], st[q], to_s};
-                ++rect_kept;
-              }
-            }
-            const S::Value from_s = s_to_b.at(q, p);
-            if (from_s < S::kInf) {
-              bool drop = false;
-              const S::Value slack =
-                  static_cast<S::Value>(delta_l * static_cast<double>(from_s));
-              if (nsp != 0 && slack >= 1 && !is_pivot(q)) {
-                const S::Value bound = from_s + slack;
-                for (std::size_t sp = 0; sp < nsp && !drop; ++sp) {
-                  drop = S::extend(hs.at(q, spiv[sp]),
-                                   s_to_b.at(spiv[sp], p)) <= bound;
-                }
-              }
-              if (drop) {
-                ++rect_dropped;
-              } else {
-                *out++ = {st[q], bt[p], from_s};
-                ++rect_kept;
-              }
-            }
-          }
-        }
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          for (std::size_t q = 0; q < bt.size(); ++q) {
-            if (p != q && bm.at(p, q) < S::kInf) ++square;
-          }
-        }
-        counters.kept.fetch_add(rect_kept, std::memory_order_relaxed);
-        counters.dropped.fetch_add(rect_dropped, std::memory_order_relaxed);
-        counters.hop_compressed.fetch_add(square, std::memory_order_relaxed);
-      } else {
-        out = detail::emit_pruned(
-            bt, [&](std::size_t p, std::size_t q) { return bm.at(p, q); },
-            delta_l, out, counters);
-      }
-      bnd[id] = std::move(bm);
-    } else {
-      bnd[id] = Matrix<S>(0);
-    }
-    note_drop_budget(before, delta_l);
-    pad(out, id);
-    bnd[kids[0]].clear();
-    bnd[kids[1]].clear();
-  };
-
-  const auto by_level = tree.ids_by_level();
-  for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
-    SEPSP_TRACE_SPAN("build.level");
-    const auto& ids = by_level[lvl];
-    const double delta_l =
-        detail::sparsify_level_delta(delta, static_cast<std::uint32_t>(lvl));
-    pram::ThreadPool::global().parallel_for(0, ids.size(), [&](std::size_t k) {
-      const std::size_t id = ids[k];
-      if (tree.node(id).is_leaf()) {
-        process_leaf(id, delta_l);
-      } else {
-        process_internal(id, delta_l);
-      }
-    });
-    // Same critical-path accounting as the exact builder: the pruning
-    // scan is O(set^2), dominated by the kernels it rides along with.
-    std::uint64_t level_depth = 1;
-    for (const std::size_t id : ids) {
-      const DecompNode& t = tree.node(id);
-      std::uint64_t d = 0;
-      if (t.is_leaf()) {
-        d = t.vertices.size();
-      } else {
-        const std::uint64_t s = t.separator.size();
-        const std::uint64_t log_s = s < 2 ? 1 : std::bit_width(s - 1);
-        d = closure == ClosureKind::kSquaring ? log_s * (log_s + 2) : s;
-        d += 2 * (log_s + 1);
-      }
-      level_depth = std::max(level_depth, d);
-    }
-    aug.critical_depth += level_depth;
-  }
-
-  // Padding and unreachable entries all carry zero(); dedup would sort
-  // and then discard them, so compact them out first — otherwise the
-  // dedup sort stays proportional to the *unpruned* emission count and
-  // the pruning never shows up in the build time.
-  std::erase_if(aug.shortcuts, [](const Shortcut<S>& e) {
-    return !S::improves(S::zero(), e.value);
-  });
-  dedup_shortcuts<S>(aug.shortcuts);
-  aug.build_cost = scope.cost();
+  detail::PrunedEmission policy;
+  policy.delta = delta;
+  Augmentation<TropicalI> aug =
+      detail::build_leaves_up<TropicalI, Matrix<TropicalI>>(g, tree, closure,
+                                                            policy);
+  const std::uint64_t dropped =
+      policy.counters.dropped.load(std::memory_order_relaxed);
   if (stats != nullptr) {
-    stats->kept = counters.kept.load(std::memory_order_relaxed);
-    stats->dropped = counters.dropped.load(std::memory_order_relaxed);
+    stats->kept = policy.counters.kept.load(std::memory_order_relaxed);
+    stats->dropped = dropped;
     stats->hop_compressed =
-        counters.hop_compressed.load(std::memory_order_relaxed);
+        policy.counters.hop_compressed.load(std::memory_order_relaxed);
     stats->delta = delta;
-    stats->delta_used =
-        std::bit_cast<double>(delta_used_bits.load(std::memory_order_relaxed));
+    stats->delta_used = dropped > 0 ? delta : 0.0;
   }
-  SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());
-                 obs::counter("approx.eplus_dropped")
-                     .add(counters.dropped.load(std::memory_order_relaxed));)
+  SEPSP_OBS_ONLY(obs::counter("approx.eplus_dropped").add(dropped);)
   return aug;
 }
 

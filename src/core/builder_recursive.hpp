@@ -1,38 +1,30 @@
 // Algorithm 4.1: computing E+ leaves-up.
 //
 // Nodes are processed level by level from the deepest level to the root;
-// within a level all nodes are processed in parallel. A node t keeps a
-// |B(t)| x |B(t)| matrix of exact distances in G(t) between its boundary
-// vertices; the parent combines its two children's matrices:
+// within a level all nodes are processed in parallel, each running the
+// node step of core/node_step.hpp on its children's boundary matrices.
+// build_leaves_up is that level loop, shared by the exact builder below,
+// the eps-pruned builder (approx/sparsify.hpp) and the Boolean
+// reachability builder (core/reachability.cpp); they differ only in the
+// matrix kernel and the emission policy they hand it.
 //
-//   i.   H_S: complete graph on S(t), entry = best child distance
-//   ii.  APSP closure of H_S                      -> S x S shortcuts
-//   iii. H: B->S and S->B entries from children
-//   iv.  3-limited composition  B->S (x) H_S* (x) S->B
-//   v.   boundary matrix = min(3-limited, direct child distance)
-//                                                 -> B x B shortcuts
-//
-// Work per node: O(|S|^3 log|S| + |B|^2 |S| + |B| |S|^2) with the
-// polylog-depth squaring closure (the paper's Table-1 bound); the
-// sequential-k Floyd–Warshall closure saves the log factor of work at
-// depth |S| (ablated in bench S4).
-//
-// Node tasks lease a scratch arena (builder_scratch.hpp): intermediate
-// matrices reuse storage across nodes, vertex->index lookups are O(1)
-// dense-map probes instead of per-arc binary searches, and shortcut
-// edges are written straight into their pre-computed slice of the final
-// array (no per-node vectors, no concat pass). Only the cross-level
-// boundary matrices (`bnd`) own long-lived storage.
+// Node tasks lease a scratch arena (NodeScratch): intermediate matrices
+// reuse storage across nodes, vertex->index lookups are O(1) dense-map
+// probes instead of per-arc binary searches, and shortcut edges are
+// written straight into their pre-computed slice of the final array (no
+// per-node vectors, no concat pass). Only the cross-level boundary
+// matrices (`bnd`) own long-lived storage.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
-#include <span>
+#include <memory>
+#include <vector>
 
 #include "core/augment.hpp"
 #include "core/builder_scratch.hpp"
+#include "core/node_step.hpp"
 #include "obs/obs.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
@@ -40,59 +32,16 @@
 
 namespace sepsp {
 
-/// APSP kernel used inside the builders.
-enum class ClosureKind {
-  kSquaring,       ///< repeated squaring: polylog depth, +log work
-  kFloydWarshall,  ///< sequential-in-k: minimal work, linear depth
-};
-
 namespace detail {
 
-template <Semiring S>
-void run_closure(Matrix<S>& m, ClosureKind kind) {
-  if (kind == ClosureKind::kSquaring) {
-    m = closure_by_squaring(std::move(m));
-  } else {
-    floyd_warshall(m);
-  }
-}
-
-template <Semiring S>
-void run_closure(Matrix<S>& m, ClosureKind kind, Matrix<S>& scratch) {
-  if (kind == ClosureKind::kSquaring) {
-    closure_by_squaring_inplace(m, scratch);
-  } else {
-    floyd_warshall(m);
-  }
-}
-
-/// Turns per-node shortcut counts into exclusive-prefix-sum offsets and
-/// returns the total; node i then owns slice [offsets[i], offsets[i+1]).
-inline std::size_t offsets_from_counts(std::vector<std::size_t>& counts) {
-  std::size_t total = 0;
-  for (auto& c : counts) {
-    const std::size_t here = c;
-    c = total;
-    total += here;
-  }
-  counts.push_back(total);
-  return total;
-}
-
-/// Shortcuts a group of k mutually-connected vertices emits: all ordered
-/// pairs minus the diagonal.
-inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
-
-}  // namespace detail
-
-/// Builds E+ with Algorithm 4.1. The tree must decompose g's skeleton.
-template <Semiring S>
-Augmentation<S> build_augmentation_recursive(
-    const Digraph& g, const SeparatorTree& tree,
-    ClosureKind closure = ClosureKind::kSquaring) {
-  using detail::kNpos;
-
-  SEPSP_TRACE_SPAN("build.recursive");
+/// The leaves-up driver: runs node_step over every node of `tree`,
+/// deepest level first, and returns the deduplicated E+. `policy` sizes
+/// each node's slice (slice(t), an upper bound on what it emits) and
+/// emits into it; unused slice tails are padded with zero() entries,
+/// which the final compaction drops along with unreachable pairs.
+template <Semiring S, typename M, typename Policy>
+Augmentation<S> build_leaves_up(const Digraph& g, const SeparatorTree& tree,
+                                ClosureKind closure, Policy& policy) {
   const pram::CostScope scope;
   Augmentation<S> aug;
   aug.levels = compute_levels(tree);
@@ -101,185 +50,46 @@ Augmentation<S> build_augmentation_recursive(
 
   const std::size_t num_nodes = tree.num_nodes();
   // Per-node boundary distance matrix (row/col i = i-th boundary vertex).
-  std::vector<Matrix<S>> bnd(num_nodes);
+  std::vector<M> bnd(num_nodes);
 
-  // Every node's shortcut count is known up front (complete graphs on
-  // its separator and boundary), so the output array is sized once and
-  // node tasks write disjoint slices — no per-node vectors to concat.
+  // Every node's slice is known up front, so the output array is sized
+  // once and node tasks write disjoint slices.
   std::vector<std::size_t> offsets(num_nodes);
   for (std::size_t id = 0; id < num_nodes; ++id) {
-    const DecompNode& t = tree.node(id);
-    if (t.is_leaf()) {
-      offsets[id] = detail::pair_count(t.boundary.size());
-    } else {
-      offsets[id] = detail::pair_count(t.separator.size()) +
-                    (t.boundary.empty()
-                         ? 0
-                         : detail::pair_count(t.boundary.size()));
-    }
+    offsets[id] = policy.slice(tree.node(id));
   }
-  aug.shortcuts.resize(detail::offsets_from_counts(offsets));
+  aug.shortcuts.resize(offsets_from_counts(offsets));
 
-  detail::ScratchPool<detail::RecursiveScratch<S>> scratch_pool([&] {
-    return std::make_unique<detail::RecursiveScratch<S>>(g.num_vertices());
+  ScratchPool<NodeScratch<S, M>> scratch_pool([&] {
+    return std::make_unique<NodeScratch<S, M>>(g.num_vertices());
   });
+  const auto weight_of = [&](std::size_t arc) { return g.arcs()[arc].weight; };
 
-  // --- leaves: exact APSP on the (constant-size) induced subgraph -------
-  auto process_leaf = [&](std::size_t id) {
-    SEPSP_TRACE_SPAN("build.leaf");  // merged by name: calls = leaf count
-    auto scratch = scratch_pool.acquire();
+  auto process = [&](std::size_t id) {
     const DecompNode& t = tree.node(id);
-    const std::span<const Vertex> verts = t.vertices;
-    scratch->map0.bind(verts);
-    Matrix<S>& local = scratch->local;
-    local.reset(verts.size());
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      local.at(i, i) = S::one();
-      for (const Arc& a : g.out(verts[i])) {
-        const std::size_t j = scratch->map0.find(a.to);
-        if (j != kNpos) local.merge(i, j, S::from_weight(a.weight));
-      }
+    // Merged by name: calls = leaf / internal node count.
+    SEPSP_TRACE_SPAN(t.is_leaf() ? "build.leaf" : "build.internal");
+    auto sc = scratch_pool.acquire();
+    sc->index.fill(g, tree, id, sc->map);
+    Shortcut<S>* out =
+        node_step<S>(tree, id, sc->index, bnd, closure, weight_of, *sc, policy,
+                     aug.shortcuts.data() + offsets[id]);
+    Shortcut<S>* const end = aug.shortcuts.data() + offsets[id + 1];
+    SEPSP_DCHECK(out <= end);
+    while (out != end) *out++ = {0, 0, S::zero()};
+    bnd[id] = std::move(sc->boundary);
+    if (!t.is_leaf()) {  // the children's matrices are no longer needed
+      bnd[static_cast<std::size_t>(t.child[0])].clear();
+      bnd[static_cast<std::size_t>(t.child[1])].clear();
     }
-    floyd_warshall(local);  // leaves are O(1)-sized; any kernel is fine
-    const std::span<const Vertex> b = t.boundary;
-    Matrix<S> bm(b.size());
-    Shortcut<S>* out = aug.shortcuts.data() + offsets[id];
-    for (std::size_t p = 0; p < b.size(); ++p) {
-      const std::size_t ip = scratch->map0.find(b[p]);
-      for (std::size_t q = 0; q < b.size(); ++q) {
-        bm.at(p, q) = local.at(ip, scratch->map0.find(b[q]));
-        if (p != q) *out++ = {b[p], b[q], bm.at(p, q)};
-      }
-    }
-    SEPSP_DCHECK(out == aug.shortcuts.data() + offsets[id + 1]);
-    bnd[id] = std::move(bm);
-  };
-
-  // --- internal nodes: steps i-v of Algorithm 4.1 -----------------------
-  auto process_internal = [&](std::size_t id) {
-    SEPSP_TRACE_SPAN("build.internal");  // merged: calls = internal nodes
-    auto scratch = scratch_pool.acquire();
-    const DecompNode& t = tree.node(id);
-    const std::span<const Vertex> st = t.separator;
-    const std::span<const Vertex> bt = t.boundary;
-    const std::array<std::size_t, 2> kids = {
-        static_cast<std::size_t>(t.child[0]),
-        static_cast<std::size_t>(t.child[1])};
-
-    // Index of each separator / boundary vertex inside each child's
-    // boundary list (kNpos when the vertex is not in that child).
-    scratch->map0.bind(tree.node(kids[0]).boundary);
-    scratch->map1.bind(tree.node(kids[1]).boundary);
-    const detail::VertexIndexMap* child_map[2] = {&scratch->map0,
-                                                  &scratch->map1};
-    for (int c = 0; c < 2; ++c) {
-      auto& s_in_child = scratch->s_in_child[c];
-      s_in_child.resize(st.size());
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        s_in_child[i] = child_map[c]->find(st[i]);
-        SEPSP_CHECK_MSG(s_in_child[i] != kNpos,
-                        "separator vertex missing from child boundary");
-      }
-      auto& b_in_child = scratch->b_in_child[c];
-      b_in_child.resize(bt.size());
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        b_in_child[p] = child_map[c]->find(bt[p]);
-      }
-    }
-
-    // Step i: H_S from the children's boundary distances.
-    Matrix<S>& hs = scratch->hs;
-    hs.reset(st.size());
-    for (int c = 0; c < 2; ++c) {
-      const Matrix<S>& cm = bnd[kids[c]];
-      const auto& s_in_child = scratch->s_in_child[c];
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        for (std::size_t j = 0; j < st.size(); ++j) {
-          hs.merge(i, j, cm.at(s_in_child[i], s_in_child[j]));
-        }
-      }
-    }
-    // Step ii: closure -> exact S x S distances in G(t).
-    detail::run_closure(hs, closure, scratch->square);
-    Shortcut<S>* out = aug.shortcuts.data() + offsets[id];
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      for (std::size_t j = 0; j < st.size(); ++j) {
-        if (i != j) *out++ = {st[i], st[j], hs.at(i, j)};
-      }
-    }
-
-    if (!bt.empty()) {
-      // Step iii: B->S and S->B entries of H from the children.
-      Matrix<S>& b_to_s = scratch->b_to_s;
-      Matrix<S>& s_to_b = scratch->s_to_b;
-      b_to_s.reset(bt.size(), st.size());
-      s_to_b.reset(st.size(), bt.size());
-      for (int c = 0; c < 2; ++c) {
-        const Matrix<S>& cm = bnd[kids[c]];
-        const auto& s_in_child = scratch->s_in_child[c];
-        const auto& b_in_child = scratch->b_in_child[c];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < st.size(); ++q) {
-            b_to_s.merge(p, q, cm.at(bp, s_in_child[q]));
-            s_to_b.merge(q, p, cm.at(s_in_child[q], bp));
-          }
-        }
-      }
-      // Step iv: 3-limited paths B -> S -> S -> B (H_S* includes the
-      // diagonal, so 1- and 2-hop crossings are covered too).
-      multiply_into(b_to_s, hs, scratch->tmp);
-      multiply_into(scratch->tmp, s_to_b, scratch->through);
-      const Matrix<S>& through = scratch->through;
-      // Step v: best of the separator crossing and staying in one child.
-      Matrix<S> bm(bt.size());
-      for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        for (std::size_t q = 0; q < bt.size(); ++q) {
-          bm.merge(p, q, through.at(p, q));
-        }
-      }
-      for (int c = 0; c < 2; ++c) {
-        const Matrix<S>& cm = bnd[kids[c]];
-        const auto& b_in_child = scratch->b_in_child[c];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < bt.size(); ++q) {
-            const std::size_t bq = b_in_child[q];
-            if (bq == kNpos) continue;
-            bm.merge(p, q, cm.at(bp, bq));
-          }
-        }
-      }
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        for (std::size_t q = 0; q < bt.size(); ++q) {
-          if (p != q) *out++ = {bt[p], bt[q], bm.at(p, q)};
-        }
-      }
-      bnd[id] = std::move(bm);
-    } else {
-      bnd[id] = Matrix<S>(0);
-    }
-    SEPSP_DCHECK(out == aug.shortcuts.data() + offsets[id + 1]);
-    // The children's matrices are no longer needed.
-    bnd[kids[0]].clear();
-    bnd[kids[1]].clear();
   };
 
   const auto by_level = tree.ids_by_level();
   for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
     SEPSP_TRACE_SPAN("build.level");  // merged: calls = processed levels
     const auto& ids = by_level[lvl];
-    pram::ThreadPool::global().parallel_for(0, ids.size(), [&](std::size_t k) {
-      const std::size_t id = ids[k];
-      if (tree.node(id).is_leaf()) {
-        process_leaf(id);
-      } else {
-        process_internal(id);
-      }
-    });
+    pram::ThreadPool::global().parallel_for(
+        0, ids.size(), [&](std::size_t k) { process(ids[k]); });
     // Critical path of this level = the largest node's kernel depth:
     // closure on |S| plus two rectangular products, or a leaf's FW.
     std::uint64_t level_depth = 1;
@@ -291,8 +101,7 @@ Augmentation<S> build_augmentation_recursive(
       } else {
         const std::uint64_t s = t.separator.size();
         const std::uint64_t log_s = s < 2 ? 1 : std::bit_width(s - 1);
-        d = closure == ClosureKind::kSquaring ? log_s * (log_s + 2)
-                                              : s;
+        d = closure == ClosureKind::kSquaring ? log_s * (log_s + 2) : s;
         d += 2 * (log_s + 1);  // the two 3-limited products
       }
       level_depth = std::max(level_depth, d);
@@ -300,10 +109,29 @@ Augmentation<S> build_augmentation_recursive(
     aug.critical_depth += level_depth;
   }
 
+  // Padding and unreachable pairs carry zero(); compact them out first
+  // so the dedup sort is proportional to the finite emission.
+  std::erase_if(aug.shortcuts, [](const Shortcut<S>& e) {
+    return !S::improves(S::zero(), e.value);
+  });
   dedup_shortcuts<S>(aug.shortcuts);
   aug.build_cost = scope.cost();
-  SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());
-                 obs::histogram("build.node_count").record(num_nodes);)
+  SEPSP_OBS_ONLY(obs::counter("build.shortcuts").add(aug.shortcuts.size());)
+  return aug;
+}
+
+}  // namespace detail
+
+/// Builds E+ with Algorithm 4.1. The tree must decompose g's skeleton.
+template <Semiring S>
+Augmentation<S> build_augmentation_recursive(
+    const Digraph& g, const SeparatorTree& tree,
+    ClosureKind closure = ClosureKind::kSquaring) {
+  SEPSP_TRACE_SPAN("build.recursive");
+  detail::FullEmission full;
+  Augmentation<S> aug =
+      detail::build_leaves_up<S, Matrix<S>>(g, tree, closure, full);
+  SEPSP_OBS_ONLY(obs::histogram("build.node_count").record(tree.num_nodes());)
   return aug;
 }
 

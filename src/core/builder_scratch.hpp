@@ -1,12 +1,12 @@
 // Per-node scratch arenas for the E+ builders.
 //
-// Both builders process many tree nodes per level, and every node used
+// The builders process many tree nodes per level, and every node used
 // to allocate its own index-lookup structures and intermediate matrices.
-// The arenas here let a node task lease a reusable scratch object
-// instead: matrix storage is re-shaped with Matrix::reset (no
-// allocation once grown to the high-water mark) and vertex->index
-// lookups use an epoch-stamped dense map (O(1) per probe, O(list) per
-// bind, no clearing pass).
+// The arenas here (and the Algorithm 4.1 NodeScratch in node_step.hpp)
+// let a node task lease a reusable scratch object instead: matrix
+// storage is re-shaped with Matrix::reset (no allocation once grown to
+// the high-water mark) and vertex->index lookups use an epoch-stamped
+// dense map (O(1) per probe, O(list) per bind, no clearing pass).
 //
 // IMPORTANT: leases come from a mutex-protected pool, NOT from
 // thread_local storage. The work-stealing pool's joins are help-first —
@@ -120,25 +120,6 @@ class ScratchPool {
   std::function<std::unique_ptr<T>()> make_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<T>> free_;  // guarded by mutex_
-};
-
-/// Scratch for one node task of the recursive builder (Algorithm 4.1).
-template <Semiring S>
-struct RecursiveScratch {
-  explicit RecursiveScratch(std::size_t num_vertices)
-      : map0(num_vertices), map1(num_vertices) {}
-
-  VertexIndexMap map0;  // leaf: t.vertices / internal: child-0 boundary
-  VertexIndexMap map1;  // internal: child-1 boundary
-  Matrix<S> local;      // leaf: APSP on the induced subgraph
-  Matrix<S> hs;         // H_S and its closure
-  Matrix<S> b_to_s;
-  Matrix<S> s_to_b;
-  Matrix<S> tmp;      // b_to_s (x) hs
-  Matrix<S> through;  // tmp (x) s_to_b
-  Matrix<S> square;   // squaring-closure product buffer
-  std::vector<std::size_t> s_in_child[2];
-  std::vector<std::size_t> b_in_child[2];
 };
 
 /// Scratch for one node task of the doubling builder (Algorithm 4.3).

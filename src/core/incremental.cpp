@@ -7,34 +7,16 @@
 #include <optional>
 #include <unordered_map>
 
-#include "util/vertex_index.hpp"  // detail::index_of
-#include "core/builder_scratch.hpp"    // detail::ScratchPool
+#include "core/builder_scratch.hpp"  // detail::ScratchPool
+#include "core/node_step.hpp"
 #include "obs/obs.hpp"
 #include "pram/thread_pool.hpp"
 #include "semiring/matrix.hpp"
 
 namespace sepsp {
 
-using detail::index_of;
-using detail::kNpos;
 using S = TropicalD;
-
-namespace {
-
-/// Per-task arena for one node recomputation, leased from a ScratchPool
-/// (never thread_local: the pool's help-first joins can re-enter a
-/// worker mid-task). Matrices reuse their high-water storage across
-/// leases, so a steady update stream recomputes allocation-free.
-struct IncrScratch {
-  Matrix<S> local;             // leaf: full subgraph matrix
-  Matrix<S> hs;                // internal: separator closure
-  Matrix<S> b_to_s, s_to_b;    // internal: boundary<->separator blocks
-  Matrix<S> tmp, through;      // internal: product staging
-  Matrix<S> result;            // the recomputed boundary matrix
-  std::vector<Shortcut<S>> old_edges;  // stashed pre-recompute edges
-};
-
-}  // namespace
+using Scratch = detail::NodeScratch<S>;
 
 struct IncrementalEngine::State {
   const Digraph* g = nullptr;
@@ -72,22 +54,9 @@ struct IncrementalEngine::State {
   std::vector<std::vector<std::uint32_t>> arc_leaves;
   std::vector<std::uint8_t> arc_leaves_known;
 
-  /// Structural recompute plans, built once: the index maps recompute
-  /// would otherwise re-derive with index_of linear scans on every
-  /// batch. For a leaf: (local i, local j, flat arc) triples plus the
-  /// boundary's positions in the vertex list. For an internal node: the
-  /// separator's and boundary's positions in each child's boundary
-  /// (kNoPos where absent).
-  static constexpr std::uint32_t kNoPos = 0xffffffffu;
-  struct LeafPlan {
-    std::vector<std::array<std::uint32_t, 3>> arcs;
-    std::vector<std::uint32_t> boundary_pos;
-  };
-  struct ChildMaps {
-    std::array<std::vector<std::uint32_t>, 2> s_pos, b_pos;
-  };
-  std::vector<LeafPlan> leaf_plan;    // per node id, empty for internal
-  std::vector<ChildMaps> child_maps;  // per node id, empty for leaves
+  /// Per-node index of the Algorithm 4.1 step, filled once at build:
+  /// the tree and the arcs never change, only weights do.
+  std::vector<detail::NodeIndex> index;
 
   /// Per-entry change flags of the latest recompute, CSR-flat beside
   /// slot_of (entry_off is the prefix sum of slot_of sizes). Empty
@@ -113,14 +82,7 @@ struct IncrementalEngine::State {
 
   Augmentation<S> aug;
   std::optional<LeveledQuery<S>> query;
-  std::optional<detail::ScratchPool<IncrScratch>> scratch;
-
-  double effective(const Arc& a) const {
-    return weights[static_cast<std::size_t>(&a - g->arcs().data())];
-  }
-
-  void recompute_leaf(std::size_t id, IncrScratch& sc);
-  void recompute_internal(std::size_t id, IncrScratch& sc);
+  std::optional<detail::ScratchPool<Scratch>> scratch;
 
   /// Recomputes node `id` into leased scratch and, when the boundary
   /// matrix changed, copy-assigns it into bnd[id] (capacity reuse).
@@ -138,18 +100,19 @@ struct IncrementalEngine::State {
     bool matrix = false;
     bool edges = false;
   };
-  Recomputed recompute_node(std::size_t id, IncrScratch& sc) {
-    sc.old_edges.swap(per_node_edges[id]);
-    if (tree->node(id).is_leaf()) {
-      recompute_leaf(id, sc);
-    } else {
-      recompute_internal(id, sc);
-    }
+  Recomputed recompute_node(std::size_t id, Scratch& sc) {
+    std::vector<Shortcut<S>>& now = sc.edges;
+    now.resize(detail::FullEmission::slice(tree->node(id)));
+    detail::FullEmission full;
+    [[maybe_unused]] const Shortcut<S>* end = detail::node_step<S>(
+        *tree, id, index[id], bnd, ClosureKind::kFloydWarshall,
+        [&](std::size_t arc) { return weights[arc]; }, sc, full, now.data());
+    SEPSP_DCHECK(end == now.data() + now.size());
     Recomputed r;
-    r.matrix = !(sc.result == bnd[id]);
-    if (r.matrix) bnd[id] = sc.result;
-    const std::vector<Shortcut<S>>& now = per_node_edges[id];
-    if (sc.old_edges.size() != now.size()) {
+    r.matrix = !(sc.boundary == bnd[id]);
+    if (r.matrix) bnd[id] = sc.boundary;
+    const std::vector<Shortcut<S>>& old = per_node_edges[id];
+    if (old.size() != now.size()) {
       // Initial build (old list empty): every entry is new. The pair
       // structure is fixed afterwards, so sizes never diverge again.
       r.edges = true;
@@ -163,115 +126,41 @@ struct IncrementalEngine::State {
           entry_changed.empty() ? nullptr : entry_changed.data() + entry_off[id];
       bool any = false;
       for (std::size_t j = 0; j < now.size(); ++j) {
-        const bool moved = std::memcmp(&sc.old_edges[j].value, &now[j].value,
+        const bool moved = std::memcmp(&old[j].value, &now[j].value,
                                        sizeof(S::Value)) != 0;
         if (flags) flags[j] = moved ? 1 : 0;
         any = any || moved;
       }
       r.edges = any;
     }
+    per_node_edges[id].swap(now);
     return r;
   }
+
+  /// Recomputes the nodes `ids` of one tree level into changed[k].
+  /// Nodes of a level are independent (each reads its children — a
+  /// strictly deeper, already-final level — and writes only its own
+  /// rows), so they run on the work-stealing pool.
+  void recompute_level(const std::vector<std::size_t>& ids,
+                       std::vector<Recomputed>& changed) {
+    changed.assign(ids.size(), {});
+    // One scratch lease per block, not per node: the lease comes off a
+    // mutex-guarded pool, and a wide level would otherwise serialize on
+    // it.
+    auto run_block = [&](std::size_t lo, std::size_t hi) {
+      auto sc = scratch->acquire();
+      for (std::size_t k = lo; k < hi; ++k) {
+        changed[k] = recompute_node(ids[k], *sc);
+      }
+    };
+    if (run_parallel && ids.size() > 1) {
+      pram::ThreadPool::global().parallel_blocks(0, ids.size(), run_block,
+                                                 /*grain=*/2);
+    } else {
+      run_block(0, ids.size());
+    }
+  }
 };
-
-void IncrementalEngine::State::recompute_leaf(std::size_t id,
-                                              IncrScratch& sc) {
-  const DecompNode& t = tree->node(id);
-  const LeafPlan& plan = leaf_plan[id];
-  Matrix<S>& local = sc.local;
-  local.reset(t.vertices.size());
-  for (std::size_t i = 0; i < t.vertices.size(); ++i) local.at(i, i) = S::one();
-  for (const auto& e : plan.arcs) local.merge(e[0], e[1], weights[e[2]]);
-  floyd_warshall(local);
-  const std::span<const Vertex> b = t.boundary;
-  Matrix<S>& bm = sc.result;
-  bm.reset(b.size());
-  per_node_edges[id].clear();
-  for (std::size_t p = 0; p < b.size(); ++p) {
-    const std::uint32_t ip = plan.boundary_pos[p];
-    for (std::size_t q = 0; q < b.size(); ++q) {
-      bm.at(p, q) = local.at(ip, plan.boundary_pos[q]);
-      if (p != q) per_node_edges[id].push_back({b[p], b[q], bm.at(p, q)});
-    }
-  }
-}
-
-void IncrementalEngine::State::recompute_internal(std::size_t id,
-                                                  IncrScratch& sc) {
-  const DecompNode& t = tree->node(id);
-  const std::span<const Vertex> st = t.separator;
-  const std::span<const Vertex> bt = t.boundary;
-  const std::array<std::size_t, 2> kids = {
-      static_cast<std::size_t>(t.child[0]),
-      static_cast<std::size_t>(t.child[1])};
-  const ChildMaps& maps = child_maps[id];
-  per_node_edges[id].clear();
-
-  Matrix<S>& hs = sc.hs;
-  hs.reset(st.size());
-  for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = bnd[kids[c]];
-    const std::vector<std::uint32_t>& sp = maps.s_pos[c];
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      for (std::size_t j = 0; j < st.size(); ++j) {
-        hs.merge(i, j, cm.at(sp[i], sp[j]));
-      }
-    }
-  }
-  floyd_warshall(hs);
-  for (std::size_t i = 0; i < st.size(); ++i) {
-    for (std::size_t j = 0; j < st.size(); ++j) {
-      if (i != j) per_node_edges[id].push_back({st[i], st[j], hs.at(i, j)});
-    }
-  }
-
-  if (bt.empty()) {
-    sc.result.reset(0);
-    return;
-  }
-  Matrix<S>& b_to_s = sc.b_to_s;
-  Matrix<S>& s_to_b = sc.s_to_b;
-  b_to_s.reset(bt.size(), st.size());
-  s_to_b.reset(st.size(), bt.size());
-  for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = bnd[kids[c]];
-    const std::vector<std::uint32_t>& sp = maps.s_pos[c];
-    for (std::size_t p = 0; p < bt.size(); ++p) {
-      const std::uint32_t bp = maps.b_pos[c][p];
-      if (bp == kNoPos) continue;
-      for (std::size_t q = 0; q < st.size(); ++q) {
-        b_to_s.merge(p, q, cm.at(bp, sp[q]));
-        s_to_b.merge(q, p, cm.at(sp[q], bp));
-      }
-    }
-  }
-  multiply_into(b_to_s, hs, sc.tmp);
-  multiply_into(sc.tmp, s_to_b, sc.through);
-  Matrix<S>& bm = sc.result;
-  bm.reset(bt.size());
-  for (std::size_t p = 0; p < bt.size(); ++p) bm.at(p, p) = S::one();
-  for (std::size_t p = 0; p < bt.size(); ++p) {
-    for (std::size_t q = 0; q < bt.size(); ++q) {
-      bm.merge(p, q, sc.through.at(p, q));
-    }
-  }
-  for (int c = 0; c < 2; ++c) {
-    const Matrix<S>& cm = bnd[kids[c]];
-    for (std::size_t p = 0; p < bt.size(); ++p) {
-      const std::uint32_t bp = maps.b_pos[c][p];
-      if (bp == kNoPos) continue;
-      for (std::size_t q = 0; q < bt.size(); ++q) {
-        const std::uint32_t bq = maps.b_pos[c][q];
-        if (bq != kNoPos) bm.merge(p, q, cm.at(bp, bq));
-      }
-    }
-  }
-  for (std::size_t p = 0; p < bt.size(); ++p) {
-    for (std::size_t q = 0; q < bt.size(); ++q) {
-      if (p != q) per_node_edges[id].push_back({bt[p], bt[q], bm.at(p, q)});
-    }
-  }
-}
 
 IncrementalEngine IncrementalEngine::build(const Digraph& g,
                                            const SeparatorTree& tree) {
@@ -289,66 +178,27 @@ IncrementalEngine IncrementalEngine::build(const Digraph& g,
   s.arc_staged.assign(g.num_edges(), 0);
   s.arc_leaves.resize(g.num_edges());
   s.arc_leaves_known.assign(g.num_edges(), 0);
-  s.scratch.emplace([] { return std::make_unique<IncrScratch>(); });
+  s.scratch.emplace([] { return std::make_unique<Scratch>(0); });
 
   s.aug.levels = compute_levels(tree);
   s.aug.height = tree.height();
   s.aug.ell = leaf_diameter_bound(tree);
 
-  // Structural plans, derived once: every recompute of the same node
-  // reuses them instead of re-running index_of scans (those scans were
-  // a sizeable slice of the per-batch critical path).
-  s.leaf_plan.resize(tree.num_nodes());
-  s.child_maps.resize(tree.num_nodes());
-  for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
-    const DecompNode& t = tree.node(id);
-    if (t.is_leaf()) {
-      State::LeafPlan& plan = s.leaf_plan[id];
-      const std::span<const Vertex> verts = t.vertices;
-      for (std::size_t i = 0; i < verts.size(); ++i) {
-        for (const Arc& a : g.out(verts[i])) {
-          const std::size_t j = index_of(verts, a.to);
-          if (j == kNpos) continue;
-          plan.arcs.push_back(
-              {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
-               static_cast<std::uint32_t>(&a - g.arcs().data())});
-        }
-      }
-      plan.boundary_pos.reserve(t.boundary.size());
-      for (const Vertex v : t.boundary) {
-        const std::size_t ip = index_of(verts, v);
-        SEPSP_CHECK(ip != kNpos);
-        plan.boundary_pos.push_back(static_cast<std::uint32_t>(ip));
-      }
-    } else {
-      State::ChildMaps& maps = s.child_maps[id];
-      for (int c = 0; c < 2; ++c) {
-        const std::span<const Vertex> cb =
-            tree.node(static_cast<std::size_t>(t.child[c])).boundary;
-        maps.s_pos[c].reserve(t.separator.size());
-        for (const Vertex v : t.separator) {
-          const std::size_t i = index_of(cb, v);
-          SEPSP_CHECK(i != kNpos);
-          maps.s_pos[c].push_back(static_cast<std::uint32_t>(i));
-        }
-        maps.b_pos[c].reserve(t.boundary.size());
-        for (const Vertex v : t.boundary) {
-          const std::size_t i = index_of(cb, v);
-          maps.b_pos[c].push_back(i == kNpos ? State::kNoPos
-                                             : static_cast<std::uint32_t>(i));
-        }
-      }
+  // The step's index maps depend only on the tree and the arcs, so they
+  // are derived once: every recompute of the same node reuses them.
+  s.index.resize(tree.num_nodes());
+  {
+    detail::VertexIndexMap map(g.num_vertices());
+    for (std::size_t id = 0; id < tree.num_nodes(); ++id) {
+      s.index[id].fill(g, tree, id, map);
     }
   }
 
+  // The initial build is the dirty worklist with every node dirty.
+  std::vector<State::Recomputed> changed;
   const auto by_level = tree.ids_by_level();
-  {
-    auto sc = s.scratch->acquire();
-    for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
-      for (const std::size_t id : by_level[lvl]) {
-        s.recompute_node(id, *sc);
-      }
-    }
+  for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
+    s.recompute_level(by_level[lvl], changed);
   }
 
   // Stable slot layout: one aug shortcut per distinct (from, to) pair
@@ -492,22 +342,7 @@ std::size_t IncrementalEngine::apply() {
     // enqueue), but never once its own level starts.
     const std::vector<std::size_t>& ids = by_level[lvl];
     if (ids.empty()) continue;
-    changed.assign(ids.size(), {});
-    // One scratch lease per block, not per node: the lease comes off a
-    // mutex-guarded pool, and a wide level would otherwise serialize on
-    // it.
-    auto run_block = [&](std::size_t lo, std::size_t hi) {
-      auto sc = s.scratch->acquire();
-      for (std::size_t k = lo; k < hi; ++k) {
-        changed[k] = s.recompute_node(ids[k], *sc);
-      }
-    };
-    if (s.run_parallel && ids.size() > 1) {
-      pram::ThreadPool::global().parallel_blocks(0, ids.size(), run_block,
-                                                 /*grain=*/2);
-    } else {
-      run_block(0, ids.size());
-    }
+    s.recompute_level(ids, changed);
     // Serial fold in worklist order: bit-identical to the serial path.
     // Only slots whose contributed value actually moved (the per-entry
     // diff recompute_node recorded) are marked for re-minimization — an

@@ -1,158 +1,15 @@
 #include "core/reachability.hpp"
 
-#include <array>
-
-#include "util/vertex_index.hpp"  // detail::index_of
-#include "pram/thread_pool.hpp"
+#include "core/builder_recursive.hpp"
 #include "semiring/bitmatrix.hpp"
 
 namespace sepsp {
 
 Augmentation<BooleanSR> build_reachability_augmentation(
     const Digraph& g, const SeparatorTree& tree) {
-  using detail::index_of;
-  using detail::kNpos;
-
-  const pram::CostScope scope;
-  Augmentation<BooleanSR> aug;
-  aug.levels = compute_levels(tree);
-  aug.height = tree.height();
-  aug.ell = leaf_diameter_bound(tree);
-
-  const std::size_t num_nodes = tree.num_nodes();
-  std::vector<BitMatrix> bnd(num_nodes);
-  std::vector<std::vector<Shortcut<BooleanSR>>> per_node(num_nodes);
-
-  auto emit = [&](std::size_t id, const BitMatrix& m,
-                  std::span<const Vertex> row_verts,
-                  std::span<const Vertex> col_verts) {
-    for (std::size_t i = 0; i < row_verts.size(); ++i) {
-      for (std::size_t j = 0; j < col_verts.size(); ++j) {
-        if (row_verts[i] != col_verts[j] && m.get(i, j)) {
-          per_node[id].push_back({row_verts[i], col_verts[j], true});
-        }
-      }
-    }
-  };
-
-  auto process_leaf = [&](std::size_t id) {
-    const DecompNode& t = tree.node(id);
-    const std::span<const Vertex> verts = t.vertices;
-    BitMatrix local(verts.size());
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      for (const Arc& a : g.out(verts[i])) {
-        const std::size_t j = index_of(verts, a.to);
-        if (j != kNpos) local.set(i, j);
-      }
-    }
-    local = local.closure();
-    const std::span<const Vertex> b = t.boundary;
-    BitMatrix bm(b.size());
-    for (std::size_t p = 0; p < b.size(); ++p) {
-      const std::size_t ip = index_of(verts, b[p]);
-      for (std::size_t q = 0; q < b.size(); ++q) {
-        if (local.get(ip, index_of(verts, b[q]))) bm.set(p, q);
-      }
-    }
-    emit(id, bm, b, b);
-    bnd[id] = std::move(bm);
-  };
-
-  auto process_internal = [&](std::size_t id) {
-    const DecompNode& t = tree.node(id);
-    const std::span<const Vertex> st = t.separator;
-    const std::span<const Vertex> bt = t.boundary;
-    const std::array<std::size_t, 2> kids = {
-        static_cast<std::size_t>(t.child[0]),
-        static_cast<std::size_t>(t.child[1])};
-
-    std::array<std::vector<std::size_t>, 2> s_in_child;
-    std::array<std::vector<std::size_t>, 2> b_in_child;
-    for (int c = 0; c < 2; ++c) {
-      const std::span<const Vertex> cb = tree.node(kids[c]).boundary;
-      s_in_child[c].resize(st.size());
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        s_in_child[c][i] = index_of(cb, st[i]);
-        SEPSP_CHECK(s_in_child[c][i] != kNpos);
-      }
-      b_in_child[c].resize(bt.size());
-      for (std::size_t p = 0; p < bt.size(); ++p) {
-        b_in_child[c][p] = index_of(cb, bt[p]);
-      }
-    }
-
-    // Step i/ii: H_S from children, then Boolean closure via M(|S|).
-    BitMatrix hs(st.size());
-    for (int c = 0; c < 2; ++c) {
-      const BitMatrix& cm = bnd[kids[c]];
-      for (std::size_t i = 0; i < st.size(); ++i) {
-        for (std::size_t j = 0; j < st.size(); ++j) {
-          if (cm.get(s_in_child[c][i], s_in_child[c][j])) hs.set(i, j);
-        }
-      }
-    }
-    hs = hs.closure();
-    emit(id, hs, st, st);
-
-    if (!bt.empty()) {
-      BitMatrix b_to_s(bt.size(), st.size());
-      BitMatrix s_to_b(st.size(), bt.size());
-      for (int c = 0; c < 2; ++c) {
-        const BitMatrix& cm = bnd[kids[c]];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[c][p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < st.size(); ++q) {
-            if (cm.get(bp, s_in_child[c][q])) b_to_s.set(p, q);
-            if (cm.get(s_in_child[c][q], bp)) s_to_b.set(q, p);
-          }
-        }
-      }
-      BitMatrix bm = b_to_s.multiply(hs).multiply(s_to_b);
-      for (std::size_t p = 0; p < bt.size(); ++p) bm.set(p, p);
-      for (int c = 0; c < 2; ++c) {
-        const BitMatrix& cm = bnd[kids[c]];
-        for (std::size_t p = 0; p < bt.size(); ++p) {
-          const std::size_t bp = b_in_child[c][p];
-          if (bp == kNpos) continue;
-          for (std::size_t q = 0; q < bt.size(); ++q) {
-            const std::size_t bq = b_in_child[c][q];
-            if (bq != kNpos && cm.get(bp, bq)) bm.set(p, q);
-          }
-        }
-      }
-      emit(id, bm, bt, bt);
-      bnd[id] = std::move(bm);
-    } else {
-      bnd[id] = BitMatrix(0, 0);
-    }
-    bnd[kids[0]].clear();
-    bnd[kids[1]].clear();
-  };
-
-  const auto by_level = tree.ids_by_level();
-  for (std::size_t lvl = by_level.size(); lvl-- > 0;) {
-    const auto& ids = by_level[lvl];
-    pram::ThreadPool::global().parallel_for(0, ids.size(), [&](std::size_t k) {
-      const std::size_t id = ids[k];
-      if (tree.node(id).is_leaf()) {
-        process_leaf(id);
-      } else {
-        process_internal(id);
-      }
-    });
-    aug.critical_depth += 1;
-  }
-
-  std::size_t total = 0;
-  for (const auto& edges : per_node) total += edges.size();
-  aug.shortcuts.reserve(total);
-  for (auto& edges : per_node) {
-    aug.shortcuts.insert(aug.shortcuts.end(), edges.begin(), edges.end());
-  }
-  dedup_shortcuts<BooleanSR>(aug.shortcuts);
-  aug.build_cost = scope.cost();
-  return aug;
+  detail::FullEmission full;
+  return detail::build_leaves_up<BooleanSR, BitMatrix>(
+      g, tree, ClosureKind::kSquaring, full);
 }
 
 ReachabilityEngine ReachabilityEngine::build(const Digraph& g,

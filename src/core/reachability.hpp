@@ -2,9 +2,10 @@
 //
 // The paper's reachability bounds replace the per-node APSP kernels with
 // Boolean matrix multiplication M(r). This module is the concrete
-// realization: Algorithm 4.1's per-node steps run on word-packed
-// BitMatrix kernels (our M(r) = r^3/64 substitute — DESIGN.md
-// substitution 2), yielding a Boolean Augmentation that the generic
+// realization: Algorithm 4.1's node step (core/node_step.hpp) runs on
+// word-packed BitMatrix kernels (our M(r) = r^3/64 substitute —
+// DESIGN.md substitution 2) under the exact builder's leaves-up driver,
+// yielding a Boolean Augmentation that the generic
 // LeveledQuery<BooleanSR> answers per-source reachability on in
 // O(ell |E| + |E+|) scans.
 #pragma once

@@ -44,12 +44,22 @@ class BitMatrix {
     }
   }
 
+  /// Matrix<S>-style spellings, so the Algorithm 4.1 node step
+  /// (core/node_step.hpp) runs on either kernel unchanged.
+  /// Re-shapes to rows x cols of zero bits, reusing the storage.
+  void reset(std::size_t rows, std::size_t cols);
+  void reset(std::size_t n) { reset(n, n); }
+  bool at(std::size_t i, std::size_t j) const { return get(i, j); }
+  /// combine-assign: at(i,j) |= v.
+  void merge(std::size_t i, std::size_t j, bool v) {
+    if (v) set(i, j);
+  }
+
   /// this |= rhs (elementwise; same shape).
   void merge(const BitMatrix& rhs);
 
-  /// Boolean product this (x) rhs (cols() must equal rhs.rows()).
-  /// O(rows * cols * rhs.cols/64) word operations, charged as such to the
-  /// cost model with log depth.
+  /// Boolean product this (x) rhs (cols() must equal rhs.rows()); see
+  /// multiply_into.
   BitMatrix multiply(const BitMatrix& rhs) const;
 
   /// this = this | this (x) this; returns true if any bit was added.
@@ -67,11 +77,26 @@ class BitMatrix {
 
   bool operator==(const BitMatrix&) const = default;
 
+  /// Boolean product a (x) b into `out` (re-shaped, storage reused; must
+  /// alias neither operand). O(rows * cols * b.cols/64) word operations,
+  /// charged as such to the cost model with log depth.
+  friend void multiply_into(const BitMatrix& a, const BitMatrix& b,
+                            BitMatrix& out);
+  /// m |= m (x) m with the product in `scratch`; true if a bit was added.
+  friend bool square_step(BitMatrix& m, BitMatrix& scratch);
+  /// Warshall's transitive closure in place, one word-wide row OR per
+  /// (i, k) pair. O(n^2 * n/64) work, depth n.
+  friend void floyd_warshall(BitMatrix& m);
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t words_per_row_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Reflexive-transitive closure by at most ceil(log2(n-1)) squarings
+/// (or until fixpoint), products backed by `scratch`. Square only.
+void closure_by_squaring_inplace(BitMatrix& m, BitMatrix& scratch);
 
 }  // namespace sepsp

@@ -112,5 +112,37 @@ TEST(BitMatrix, SquareStepFixpoint) {
   EXPECT_TRUE(m.get(0, 2));
 }
 
+TEST(BitMatrix, MultiplyThroughZeroInnerDimension) {
+  // r x 0 (x) 0 x c: no k to route through, so the product is all zero.
+  const BitMatrix a(3, 0);
+  const BitMatrix b(0, 5);
+  const BitMatrix got = a.multiply(b);
+  EXPECT_EQ(got.rows(), 3u);
+  EXPECT_EQ(got.cols(), 5u);
+  EXPECT_EQ(got.popcount(), 0u);
+}
+
+TEST(BitMatrix, MultiplyIntoZeroColumns) {
+  // r x k (x) k x 0: the result has rows but no words per row.
+  Rng rng(33);
+  const BitMatrix a = random_bits(4, 70, rng, 0.5);
+  const BitMatrix b(70, 0);
+  const BitMatrix got = a.multiply(b);
+  EXPECT_EQ(got.rows(), 4u);
+  EXPECT_EQ(got.cols(), 0u);
+  EXPECT_EQ(got.popcount(), 0u);
+}
+
+TEST(BitMatrix, FloydWarshallMatchesSquaringClosure) {
+  Rng rng(34);
+  for (const std::size_t n : {0u, 1u, 7u, 64u, 100u}) {
+    BitMatrix m = random_bits(n, n, rng, 0.05);
+    const BitMatrix want = m.closure();
+    for (std::size_t i = 0; i < n; ++i) m.set(i, i);
+    floyd_warshall(m);
+    EXPECT_EQ(m, want) << n;
+  }
+}
+
 }  // namespace
 }  // namespace sepsp
