@@ -285,7 +285,7 @@ struct PrunedEmission {
       }
       return false;
     };
-    std::uint64_t rect_kept = 0, rect_dropped = 0, square = 0;
+    std::uint64_t rect_kept = 0, rect_dropped = 0, compressed = 0;
     for (std::size_t p = 0; p < bt.size(); ++p) {
       for (std::size_t q = 0; q < st.size(); ++q) {
         const S::Value to_s = b_to_s.at(p, q);
@@ -314,12 +314,12 @@ struct PrunedEmission {
     }
     for (std::size_t p = 0; p < bt.size(); ++p) {
       for (std::size_t q = 0; q < bt.size(); ++q) {
-        if (p != q && sc.boundary.at(p, q) < S::kInf) ++square;
+        if (p != q && sc.boundary.at(p, q) < S::kInf) ++compressed;
       }
     }
     counters.kept.fetch_add(rect_kept, std::memory_order_relaxed);
     counters.dropped.fetch_add(rect_dropped, std::memory_order_relaxed);
-    counters.hop_compressed.fetch_add(square, std::memory_order_relaxed);
+    counters.hop_compressed.fetch_add(compressed, std::memory_order_relaxed);
     return out;
   }
 };

@@ -1,7 +1,6 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <limits>
 #include <optional>
