@@ -231,7 +231,7 @@ struct PrunedEmission {
   PruneCounters counters;
 
   std::size_t slice(const DecompNode& t) const {
-    if (!t.is_leaf() && hop_compress_node(t, delta)) {
+    if (hop_compress_node(t, delta)) {
       return pair_count(t.separator.size()) +
              2 * t.boundary.size() * t.separator.size();
     }

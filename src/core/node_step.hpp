@@ -167,11 +167,9 @@ struct NodeScratch {
 /// pairs are emitted with value zero(); the drivers decide whether to
 /// keep them.
 struct FullEmission {
-  /// Shortcuts node t emits.
+  /// Shortcuts node t emits (a leaf's separator is empty).
   static std::size_t slice(const DecompNode& t) {
-    if (t.is_leaf()) return pair_count(t.boundary.size());
-    return pair_count(t.separator.size()) +
-           (t.boundary.empty() ? 0 : pair_count(t.boundary.size()));
+    return pair_count(t.separator.size()) + pair_count(t.boundary.size());
   }
 
   template <Semiring S, typename M>
