@@ -5,7 +5,7 @@
 // Completeness is what makes E+ large: most of those k(k-1) pairs are
 // nearly the composition of two other pairs through some well-connected
 // "pivot" vertex of the same set. build_augmentation_sparsified runs the
-// same node step (core/node_step.hpp) under the same leaves-up driver,
+// same node step (core/node_step.hpp) under the same leaves-up loop,
 // so the recursion stays exact; only PrunedEmission, the policy that
 // turns each node's matrices into shortcut edges, differs:
 //
@@ -167,7 +167,7 @@ std::size_t select_pivots(std::size_t k, const At& at,
 /// Emits the complete ordered-pair set over `verts` (values from
 /// at(i, j), indices into `verts`) into `out`, dropping witnessed
 /// non-pivot pairs as described above. Returns past-the-end of the
-/// emitted entries; the driver pads the slice. Emission order matches
+/// emitted entries; the caller pads the slice. Emission order matches
 /// FullEmission's (i-major), so a zero-drop run is bit-identical.
 template <typename At>
 Shortcut<TropicalI>* emit_pruned(std::span<const Vertex> verts, const At& at,
@@ -327,7 +327,7 @@ struct PrunedEmission {
 }  // namespace detail
 
 /// Algorithm 4.1 with eps-pruned emission, for the rounded-integer
-/// semiring: the leaves-up driver of build_augmentation_recursive with
+/// semiring: the leaves-up loop of build_augmentation_recursive with
 /// PrunedEmission in place of the full squares. `delta` is the pruning
 /// budget (relative slack); `delta < kMinPruneDelta` (in particular 0)
 /// reproduces build_augmentation_recursive<TropicalI> bit-for-bit.

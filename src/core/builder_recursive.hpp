@@ -34,7 +34,7 @@ namespace sepsp {
 
 namespace detail {
 
-/// The leaves-up driver: runs node_step over every node of `tree`,
+/// The leaves-up loop: runs node_step over every node of `tree`,
 /// deepest level first, and returns the deduplicated E+. `policy` sizes
 /// each node's slice (slice(t), an upper bound on what it emits) and
 /// emits into it; unused slice tails are padded with zero() entries,

@@ -29,7 +29,7 @@
 //     drops witnessed pairs and may emit a node's B->S / S->B
 //     rectangles instead of its B x B square.
 //
-// Two drivers run it: the leaves-up level loop (core/builder_recursive.hpp)
+// Two loops run it: the leaves-up level loop (core/builder_recursive.hpp)
 // behind the exact, sparsified and Boolean builders, and the dirty
 // worklist of the incremental engine (core/incremental.cpp), which
 // keeps every node's NodeIndex and boundary matrix between batches.
@@ -83,7 +83,7 @@ inline std::size_t pair_count(std::size_t k) { return k * (k - 1); }
 /// Where a node's vertex lists sit in the lists its step reads: a leaf's
 /// arcs and boundary as positions in t.vertices, an internal node's
 /// separator and boundary as positions in each child's boundary. It
-/// depends on the tree and the arcs, never on weights, so a driver may
+/// depends on the tree and the arcs, never on weights, so a caller may
 /// fill it once per node and keep it.
 struct NodeIndex {
   static constexpr std::uint32_t kAbsent = 0xffffffffu;
@@ -149,7 +149,7 @@ template <Semiring S, typename M = Matrix<S>>
 struct NodeScratch {
   explicit NodeScratch(std::size_t num_vertices) : map(num_vertices) {}
 
-  VertexIndexMap map;  // fills `index` when the driver does not keep it
+  VertexIndexMap map;  // fills `index` when the caller does not keep it
   NodeIndex index;
   M local;             // leaf: closure of the induced subgraph
   M hs;                // H_S and its closure
@@ -158,13 +158,13 @@ struct NodeScratch {
   M through;           // tmp (x) s_to_b
   M square;            // squaring-closure product buffer
   M boundary;          // the step's result: the node's boundary matrix
-  std::vector<Shortcut<S>> edges;  // emission buffer of drivers that
+  std::vector<Shortcut<S>> edges;  // emission buffer of callers that
                                    // keep per-node edge lists
 };
 
 /// Emission policy of the exact builders: the complete ordered-pair
 /// squares over S(t) and B(t), i-major, diagonal skipped. Unreachable
-/// pairs are emitted with value zero(); the drivers decide whether to
+/// pairs are emitted with value zero(); the callers decide whether to
 /// keep them.
 struct FullEmission {
   /// Shortcuts node t emits (a leaf's separator is empty).

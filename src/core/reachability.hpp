@@ -4,7 +4,7 @@
 // Boolean matrix multiplication M(r). This module is the concrete
 // realization: Algorithm 4.1's node step (core/node_step.hpp) runs on
 // word-packed BitMatrix kernels (our M(r) = r^3/64 substitute —
-// DESIGN.md substitution 2) under the exact builder's leaves-up driver,
+// DESIGN.md substitution 2) under the exact builder's leaves-up loop,
 // yielding a Boolean Augmentation that the generic
 // LeveledQuery<BooleanSR> answers per-source reachability on in
 // O(ell |E| + |E+|) scans.
