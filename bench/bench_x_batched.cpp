@@ -118,8 +118,9 @@ void run_instance(const Instance& inst, Table& table) {
 }
 
 /// Batched throughput per SIMD dispatch tier at B = 8 and B = 16: the
-/// scalar tier is the PR 3 autovectorized lane loop, so the speedup
-/// column is the vector substrate's gain on the bucket sweeps alone.
+/// scalar row runs the scalar-tier kernel TU (simd_scalar.cpp), so the
+/// speedup column is the vector substrate's gain on the bucket sweeps
+/// alone.
 void run_tier_instance(const Instance& inst, Table& table) {
   const auto engine = SeparatorShortestPaths<>::build(inst.gg.graph, inst.tree);
   const std::size_t count =

@@ -4,7 +4,7 @@
 // that motivated the builders' scratch arenas.
 //
 // JSON rows (--json):
-//   kind="simd":        compiled_in, compiled, detected, active
+//   kind="simd":        compiled, detected, active
 //   kind="kernel":      kernel, n, mode (naive|blocked), threads, seconds,
 //                       cells, cells_per_sec, speedup_vs_naive
 //   kind="kernel_tier": kernel, n, tier, threads, seconds, cells,
@@ -141,15 +141,15 @@ void simd_info_row() {
             << " active=" << simd::tier_name(simd::active_tier()) << "\n";
   json()
       .row("simd")
-      .field("compiled_in", simd::compiled_in() ? 1 : 0)
       .field("compiled", simd::tier_name(simd::compiled_tier()))
       .field("detected", simd::tier_name(simd::detected_tier()))
       .field("active", simd::tier_name(simd::active_tier()));
 }
 
-/// Blocked-kernel throughput per dispatch tier. The scalar tier is the
-/// PR 3 blocked-scalar status quo, so speedup_vs_scalar_tier reads off
-/// exactly what the vector substrate buys at each ISA width.
+/// Blocked-kernel throughput per dispatch tier. The scalar tier runs
+/// the scalar-tier kernel TU (simd_scalar.cpp) inside the same blocked
+/// loops, so speedup_vs_scalar_tier reads off exactly what the vector
+/// substrate buys at each ISA width.
 void tier_rows(int threads) {
   std::vector<std::size_t> sizes = {128, 256};
   if (scale() >= 1) sizes.push_back(512);

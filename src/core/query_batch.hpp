@@ -6,8 +6,8 @@
 // memory bandwidth: every source re-loads E u E+. BatchedLeveledQuery
 // runs the *same* phase schedule once for a block of B sources over a
 // lane-major distance matrix dist[v * B + lane]: each edge is loaded
-// once per phase and relaxes all B lanes in a branch-free inner loop the
-// compiler can vectorize. Lanes are independent — no values ever cross
+// once per phase and relaxes all B lanes in one dispatched bucket sweep
+// (semiring/simd.hpp). Lanes are independent — no values ever cross
 // lanes — so every lane's distance trajectory is identical to a scalar
 // LeveledQuery::run of that lane's source (bit-identical, including for
 // floating-point semirings: same edges, same order, same arithmetic).
@@ -172,16 +172,13 @@ class BatchedLeveledQuery {
                     "batched converge diverged (negative cycle?)");
   }
 
-  /// Relax every edge of the bucket across all B lanes. When the SIMD
-  /// substrate has a vector tier active, the whole bucket pass runs as
-  /// one dispatched kernel (semiring/simd.hpp, bit-identical to the
-  /// loop below); on the scalar tier the compile-time-B loop is kept —
-  /// it is the autovectorizable baseline the tiers are measured
-  /// against. combine() is a branch-free select and relax_extend() is
-  /// the semiring's unguarded extend where one exists (bucket values
-  /// are never zero(): no-path entries are dropped when the buckets are
-  /// built); unseeded lanes stay at zero() (extend() from zero() never
-  /// improves anything).
+  /// Relax every edge of the bucket across all B lanes: one dispatched
+  /// bucket sweep per value run (semiring/simd.hpp; the scalar tier is
+  /// simd_scalar.cpp). combine() is a branch-free select and
+  /// relax_extend() is the semiring's unguarded extend where one exists
+  /// (bucket values are never zero(): no-path entries are dropped when
+  /// the buckets are built); unseeded lanes stay at zero() (extend()
+  /// from zero() never improves anything).
   void relax_lanes(const EdgeBucket<S>& b, Value* dist) const {
     const Vertex* from = b.from_data();
     const Vertex* to = b.to_data();
@@ -191,25 +188,7 @@ class BatchedLeveledQuery {
     // call per run instead of one per bucket.
     b.for_each_values_run(
         [&](std::size_t lo, std::size_t len, const Value* value) {
-          if (simd::vector_dispatch_active<S>()) {
-            simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, B);
-            return;
-          }
-          for (std::size_t i = 0; i < len; ++i) {
-            const Value* du =
-                dist + static_cast<std::size_t>(from[lo + i]) * B;
-            Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
-            const Value w = value[i];
-            // Staging the source row in a local buffer severs the (only
-            // apparent) aliasing between the rows, so the lane loop SLP-
-            // vectorizes; a self-loop's exact row overlap is
-            // lane-independent either way.
-            Value src[B];
-            for (std::size_t lane = 0; lane < B; ++lane) src[lane] = du[lane];
-            for (std::size_t lane = 0; lane < B; ++lane) {
-              dw[lane] = S::combine(dw[lane], relax_extend<S>(src[lane], w));
-            }
-          }
+          simd::bucket_sweep<S>(dist, from + lo, to + lo, value, len, B);
         });
   }
 
@@ -221,33 +200,16 @@ class BatchedLeveledQuery {
     const Vertex* to = b.to_data();
     b.for_each_values_run(
         [&](std::size_t lo, std::size_t len, const Value* value) {
-          if (simd::vector_dispatch_active<S>()) {
-            simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value, len,
-                                          B, changed.data());
-            return;
-          }
-          for (std::size_t i = 0; i < len; ++i) {
-            const Value* du =
-                dist + static_cast<std::size_t>(from[lo + i]) * B;
-            Value* dw = dist + static_cast<std::size_t>(to[lo + i]) * B;
-            const Value w = value[i];
-            Value src[B];
-            for (std::size_t lane = 0; lane < B; ++lane) src[lane] = du[lane];
-            for (std::size_t lane = 0; lane < B; ++lane) {
-              const Value next =
-                  S::combine(dw[lane], relax_extend<S>(src[lane], w));
-              changed[lane] |= static_cast<std::uint8_t>(next != dw[lane]);
-              dw[lane] = next;
-            }
-          }
+          simd::bucket_sweep_tracked<S>(dist, from + lo, to + lo, value, len,
+                                        B, changed.data());
         });
   }
 
-  /// Cells (edge x lane relaxations) routed through the dispatched
-  /// vector kernels, charged per bucket pass. No-op on the scalar tier.
+  /// Cells (edge x lane relaxations) run on a vector tier, charged per
+  /// bucket pass. No-op on the scalar tier.
   void note_simd_cells(std::size_t edges) const {
 #if SEPSP_OBS_ENABLED
-    if (simd::vector_dispatch_active<S>()) {
+    if (simd::active_tier() != simd::Tier::kScalar) {
       static obs::Counter& cells = obs::counter("simd.cells");
       cells.add(edges * B);
     }

@@ -12,6 +12,12 @@ void set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
 }
 
+/// True when nothing but whitespace is left on the line.
+bool at_end(std::istringstream& ls) {
+  ls >> std::ws;
+  return ls.eof();
+}
+
 }  // namespace
 
 void write_dimacs(std::ostream& os, const Digraph& g) {
@@ -40,8 +46,16 @@ std::optional<Digraph> read_dimacs(std::istream& is, std::string* error) {
     if (tag == 'p') {
       std::string kind;
       std::size_t n = 0, m = 0;
-      if (!(ls >> kind >> n >> m) || kind != "sp") {
+      if (!(ls >> kind >> n >> m) || kind != "sp" || !at_end(ls)) {
         set_error(error, "bad problem line at " + std::to_string(line_number));
+        return std::nullopt;
+      }
+      // Ids 1..n map to Vertex 0..n-1; a larger n would let an arc id
+      // above the Vertex range pass the bounds check and wrap.
+      if (n > kInvalidVertex) {
+        set_error(error, "problem line at " + std::to_string(line_number) +
+                             " declares " + std::to_string(n) +
+                             " vertices, more than a Vertex can index");
         return std::nullopt;
       }
       if (builder.has_value()) {
@@ -57,8 +71,9 @@ std::optional<Digraph> read_dimacs(std::istream& is, std::string* error) {
       }
       std::size_t from = 0, to = 0;
       double weight = 0;
-      if (!(ls >> from >> to >> weight) || from == 0 || to == 0 ||
-          from > builder->num_vertices() || to > builder->num_vertices()) {
+      if (!(ls >> from >> to >> weight) || !at_end(ls) || from == 0 ||
+          to == 0 || from > builder->num_vertices() ||
+          to > builder->num_vertices()) {
         set_error(error, "bad arc at line " + std::to_string(line_number));
         return std::nullopt;
       }

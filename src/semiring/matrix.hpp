@@ -308,7 +308,7 @@ void multiply_into(const Matrix<S>& a, const Matrix<S>& b, Matrix<S>& out) {
     const std::size_t cells = a.rows() * a.cols() * b.cols();
     detail::KernelObs::get().cells.add(cells);
     if (blocked_kernels_enabled().load(std::memory_order_relaxed) &&
-        simd::vector_dispatch_active<S>()) {
+        simd::active_tier() != simd::Tier::kScalar) {
       detail::KernelObs::get().vcells.add(cells);
     }
   })
@@ -343,7 +343,7 @@ bool square_step(Matrix<S>& m, Matrix<S>& scratch) {
       });
   pram::CostMeter::charge_work(n * n);
   pram::CostMeter::charge_depth(1);
-  SEPSP_OBS_ONLY(if (simd::vector_dispatch_active<S>()) {
+  SEPSP_OBS_ONLY(if (simd::active_tier() != simd::Tier::kScalar) {
     detail::KernelObs::get().vcells.add(n * n);
   })
   return changed.load(std::memory_order_relaxed);
@@ -371,7 +371,7 @@ void floyd_warshall(Matrix<S>& m) {
   }
   pram::CostMeter::charge_work(n * n * n);
   pram::CostMeter::charge_depth(n);
-  SEPSP_OBS_ONLY(if (simd::vector_dispatch_active<S>()) {
+  SEPSP_OBS_ONLY(if (simd::active_tier() != simd::Tier::kScalar) {
     detail::KernelObs::get().vcells.add(n * n * n);
   })
 }

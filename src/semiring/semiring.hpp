@@ -79,9 +79,14 @@ struct TropicalI {
   static constexpr Value zero() { return kInf; }
   static constexpr Value one() { return 0; }
   static constexpr Value combine(Value a, Value b) { return a < b ? a : b; }
+  /// Saturates at both ends: kInf absorbs, and sums below -kInf clamp
+  /// to -kInf. Closures over a negative cycle keep decreasing, so
+  /// without the lower clamp they would overflow long long; with it,
+  /// operands stay in [-kInf, kInf] and the add never can.
   static constexpr Value extend(Value a, Value b) {
     if (a >= kInf || b >= kInf) return kInf;
-    return a + b;
+    const Value sum = a + b;
+    return sum < -kInf ? -kInf : sum;
   }
   static constexpr bool improves(Value current, Value candidate) {
     return candidate < current;

@@ -1,7 +1,8 @@
 // Runtime dispatch of the SIMD kernel set (see simd.hpp).
 //
-// Tier availability is a compile-time fact (which tier TUs the build
-// included — SEPSP_SIMD_HAS_* come from src/semiring/CMakeLists.txt);
+// Tier availability is a compile-time fact (which wide-tier TUs the
+// build included — SEPSP_SIMD_HAS_* come from src/semiring/CMakeLists.txt;
+// the scalar and 128-bit tiers always build);
 // tier usability is a runtime fact (CPUID). The table below wires every
 // Tier index to the best compiled tier at or below it, so dispatch can
 // index with any Tier value; detection clamps the active tier to what
@@ -59,9 +60,7 @@ namespace kernels {
                                    std::size_t, std::uint8_t*);
 
 SEPSP_SIMD_DECLARE_TIER(scalar)
-#if defined(SEPSP_SIMD_HAS_V128)
 SEPSP_SIMD_DECLARE_TIER(v128)
-#endif
 #if defined(SEPSP_SIMD_HAS_AVX2)
 SEPSP_SIMD_DECLARE_TIER(avx2)
 #endif
@@ -93,26 +92,18 @@ namespace {
 // Indexed by Tier; tiers not compiled in alias the best lower tier.
 const KernelTable kTables[4] = {
     SEPSP_SIMD_TIER_TABLE(scalar),
-#if defined(SEPSP_SIMD_HAS_V128)
     SEPSP_SIMD_TIER_TABLE(v128),
-#else
-    SEPSP_SIMD_TIER_TABLE(scalar),
-#endif
 #if defined(SEPSP_SIMD_HAS_AVX2)
     SEPSP_SIMD_TIER_TABLE(avx2),
-#elif defined(SEPSP_SIMD_HAS_V128)
-    SEPSP_SIMD_TIER_TABLE(v128),
 #else
-    SEPSP_SIMD_TIER_TABLE(scalar),
+    SEPSP_SIMD_TIER_TABLE(v128),
 #endif
 #if defined(SEPSP_SIMD_HAS_AVX512)
     SEPSP_SIMD_TIER_TABLE(avx512),
 #elif defined(SEPSP_SIMD_HAS_AVX2)
     SEPSP_SIMD_TIER_TABLE(avx2),
-#elif defined(SEPSP_SIMD_HAS_V128)
-    SEPSP_SIMD_TIER_TABLE(v128),
 #else
-    SEPSP_SIMD_TIER_TABLE(scalar),
+    SEPSP_SIMD_TIER_TABLE(v128),
 #endif
 };
 #undef SEPSP_SIMD_TIER_TABLE
@@ -174,23 +165,13 @@ bool parse_tier(std::string_view name, Tier* out) {
   return true;
 }
 
-bool compiled_in() {
-#if defined(SEPSP_SIMD_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
 Tier compiled_tier() {
 #if defined(SEPSP_SIMD_HAS_AVX512)
   return Tier::kAvx512;
 #elif defined(SEPSP_SIMD_HAS_AVX2)
   return Tier::kAvx2;
-#elif defined(SEPSP_SIMD_HAS_V128)
-  return Tier::kSse;
 #else
-  return Tier::kScalar;
+  return Tier::kSse;
 #endif
 }
 

@@ -12,7 +12,8 @@
 // Tiers. Four implementations of every kernel are compiled into the
 // library, each in its own translation unit with its own ISA flags:
 //
-//   kScalar  plain scalar loops (the PR 3 status quo; always present)
+//   kScalar  plain scalar loops: the one scalar definition of every
+//            kernel, and the bit-identity oracle of the vector tiers
 //   kSse     128-bit vectors (x86-64 baseline SSE2; portable fallback —
 //            the same generic-vector code lowers to NEON on aarch64)
 //   kAvx2    256-bit vectors, compiled with -mavx2
@@ -26,14 +27,14 @@
 // blocking, now extended across ISAs and enforced by tests/test_simd.
 //
 // Dispatch. simd::active_tier() is resolved once: the highest tier both
-// compiled in (SEPSP_SIMD CMake option; tier TU availability) and
-// supported by this CPU (CPUID), optionally lowered by the
-// SEPSP_FORCE_ISA environment variable (scalar|sse|avx2|avx512; forcing
-// above hardware/compile support clamps down). Tests may override it at
-// runtime with force_tier(). The templated entry points below read the
-// active tier per call (one relaxed atomic load per bucket sweep / tile
-// row) and fall back to the inline scalar loop for semirings without a
-// vector kind or when the scalar tier is active — so code compiled
+// compiled in (the AVX2/AVX-512 TUs build when the compiler accepts
+// their flags; scalar and 128-bit always build) and supported by this
+// CPU (CPUID), optionally lowered by the SEPSP_FORCE_ISA environment
+// variable (scalar|sse|avx2|avx512; forcing above hardware/compile
+// support clamps down). Tests may override it at runtime with
+// force_tier(). The templated entry points below read the active tier
+// per call (one relaxed atomic load per bucket sweep / tile row) and
+// make one table call — the scalar tier included — so code compiled
 // against this header never changes meaning, only speed.
 //
 // Alignment contract. Kernels use unaligned-tolerant loads; callers
@@ -68,10 +69,7 @@ const char* tier_name(Tier t);
 /// on unknown input, leaving *out untouched.
 bool parse_tier(std::string_view name, Tier* out);
 
-/// True when the library was compiled with SEPSP_SIMD=ON.
-bool compiled_in();
-
-/// Highest tier compiled into this binary (kScalar with SEPSP_SIMD=OFF).
+/// Highest tier compiled into this binary (at least kSse).
 Tier compiled_tier();
 
 /// Highest tier this machine can run: compiled_tier() clamped by CPUID.
@@ -156,9 +154,8 @@ struct KernelTable {
 /// lower compiled tier, so indexing any Tier value is always safe.
 const KernelTable& table(Tier t);
 
-/// Maps a shipped semiring to its KernelTable members. Semirings
-/// without a specialization fall back to the inline scalar loops in the
-/// dispatch wrappers below (and never touch the table).
+/// Maps a shipped semiring to its KernelTable members. Every semiring
+/// the dispatch wrappers below accept needs a specialization.
 template <typename S>
 struct KindTraits;
 
@@ -191,18 +188,11 @@ struct KindTraits<BooleanSR> {
   static constexpr auto kSweepTracked = &KernelTable::sweep_tracked_orand_b;
 };
 
-/// True when S has a vector kernel kind (the four shipped semirings).
-template <typename S>
-concept VectorizableSemiring = requires { KindTraits<S>::kTileRow; };
-
-template <typename S>
-inline constexpr bool kVectorizable = VectorizableSemiring<S>;
-
 // --- dispatched entry points -------------------------------------------
-// Each reads active_tier() once per call; the scalar tier (and any
-// semiring without a kind) takes the inline loop, which is the exact
-// pre-SIMD code — autovectorizable by the compiler as before, so the
-// scalar tier measures the PR 3 status quo.
+// Each reads active_tier() once per call (one relaxed atomic load per
+// tile row / bucket sweep) and calls that tier's table entry. The
+// scalar tier is a table entry like any other: simd_scalar.cpp is the
+// one scalar definition of every kernel.
 
 /// Blocked-kernel tile row: o[j] = combine(o[j], extend(a, b[j])).
 /// Contract for the floating-point kinds: a != S::zero() (the tile
@@ -210,16 +200,7 @@ inline constexpr bool kVectorizable = VectorizableSemiring<S>;
 template <Semiring S>
 inline void tile_row(typename S::Value* o, const typename S::Value* b,
                      typename S::Value a, std::size_t n) {
-  if constexpr (kVectorizable<S>) {
-    const Tier t = active_tier();
-    if (t != Tier::kScalar) {
-      (table(t).*KindTraits<S>::kTileRow)(o, b, a, n);
-      return;
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    o[j] = S::combine(o[j], S::extend(a, b[j]));
-  }
+  (table(active_tier()).*KindTraits<S>::kTileRow)(o, b, a, n);
 }
 
 /// Fused combine + change detection over one row (square_step's merge
@@ -227,18 +208,7 @@ inline void tile_row(typename S::Value* o, const typename S::Value* b,
 template <Semiring S>
 inline bool combine_row(typename S::Value* dst, const typename S::Value* src,
                         std::size_t n) {
-  if constexpr (kVectorizable<S>) {
-    const Tier t = active_tier();
-    if (t != Tier::kScalar) {
-      return (table(t).*KindTraits<S>::kCombineRow)(dst, src, n) != 0;
-    }
-  }
-  bool changed = false;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (S::improves(dst[j], src[j])) changed = true;
-    dst[j] = S::combine(dst[j], src[j]);
-  }
-  return changed;
+  return (table(active_tier()).*KindTraits<S>::kCombineRow)(dst, src, n) != 0;
 }
 
 /// One bucket pass of the lane-batched query: for every edge, relax
@@ -248,22 +218,8 @@ inline void bucket_sweep(typename S::Value* dist, const std::uint32_t* from,
                          const std::uint32_t* to,
                          const typename S::Value* value, std::size_t m,
                          std::size_t lanes) {
-  if constexpr (kVectorizable<S>) {
-    const Tier t = active_tier();
-    if (t != Tier::kScalar) {
-      (table(t).*KindTraits<S>::kSweep)(dist, from, to, value, m, lanes);
-      return;
-    }
-  }
-  using Value = typename S::Value;
-  for (std::size_t i = 0; i < m; ++i) {
-    const Value* src = dist + static_cast<std::size_t>(from[i]) * lanes;
-    Value* dst = dist + static_cast<std::size_t>(to[i]) * lanes;
-    const Value w = value[i];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      dst[l] = S::combine(dst[l], relax_extend<S>(src[l], w));
-    }
-  }
+  (table(active_tier()).*KindTraits<S>::kSweep)(dist, from, to, value, m,
+                                                 lanes);
 }
 
 /// bucket_sweep recording per-lane improvement into changed[0..lanes)
@@ -274,31 +230,8 @@ inline void bucket_sweep_tracked(typename S::Value* dist,
                                  const std::uint32_t* to,
                                  const typename S::Value* value, std::size_t m,
                                  std::size_t lanes, std::uint8_t* changed) {
-  if constexpr (kVectorizable<S>) {
-    const Tier t = active_tier();
-    if (t != Tier::kScalar) {
-      (table(t).*KindTraits<S>::kSweepTracked)(dist, from, to, value, m, lanes,
-                                               changed);
-      return;
-    }
-  }
-  using Value = typename S::Value;
-  for (std::size_t i = 0; i < m; ++i) {
-    const Value* src = dist + static_cast<std::size_t>(from[i]) * lanes;
-    Value* dst = dist + static_cast<std::size_t>(to[i]) * lanes;
-    const Value w = value[i];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const Value next = S::combine(dst[l], relax_extend<S>(src[l], w));
-      changed[l] |= static_cast<std::uint8_t>(next != dst[l]);
-      dst[l] = next;
-    }
-  }
-}
-
-/// True when kernels dispatched right now would run vector code for S.
-template <Semiring S>
-inline bool vector_dispatch_active() {
-  return kVectorizable<S> && active_tier() != Tier::kScalar;
+  (table(active_tier()).*KindTraits<S>::kSweepTracked)(dist, from, to, value,
+                                                        m, lanes, changed);
 }
 
 }  // namespace sepsp::simd

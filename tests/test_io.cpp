@@ -84,6 +84,23 @@ TEST(DimacsIo, RejectsMalformedInput) {
     std::stringstream ss("p sp 2 0\np sp 2 0\n");  // duplicate header
     EXPECT_FALSE(read_dimacs(ss, &error).has_value());
   }
+  {
+    // 2^32 vertices: one more than a Vertex can index, so arc id 2^32+1
+    // would wrap onto vertex 0.
+    std::stringstream ss("p sp 4294967296 1\na 4294967297 1 1\n");
+    EXPECT_FALSE(read_dimacs(ss, &error).has_value());
+    EXPECT_NE(error.find("Vertex"), std::string::npos);
+  }
+  {
+    std::stringstream ss("p sp 2 1\na 1 2 3.5.6\n");  // trailing ".6"
+    EXPECT_FALSE(read_dimacs(ss, &error).has_value());
+    EXPECT_NE(error.find("bad arc"), std::string::npos);
+  }
+  {
+    std::stringstream ss("p sp 2 1 7\na 1 2 3\n");  // trailing "7"
+    EXPECT_FALSE(read_dimacs(ss, &error).has_value());
+    EXPECT_NE(error.find("bad problem"), std::string::npos);
+  }
 }
 
 TEST(DimacsIo, CoordinateRoundTrip) {

@@ -21,6 +21,7 @@
 #include "graph/generators.hpp"
 #include "semiring/matrix.hpp"
 #include "semiring/semiring.hpp"
+#include "semiring/simd.hpp"
 #include "separator/finders.hpp"
 #include "util/random.hpp"
 
@@ -194,6 +195,37 @@ TEST(KernelParity, FloydWarshallBoolean) {
   for (const std::size_t n : kParitySizes) {
     SCOPED_TRACE(n);
     check_fw_parity(random_boolean(n, n, rng, 0.15));
+  }
+}
+
+// A TropicalI closure over a negative cycle keeps decreasing as its
+// walks wind round the cycle; unclamped, these weights would take it
+// below -2^63. extend() clamps sums at -kInf, so no tier overflows long
+// long, and the clamped vector tile rows stay bit-identical to scalar.
+TEST(KernelParity, FloydWarshallTropicalINegativeCycleSaturates) {
+  using S = TropicalI;
+  constexpr std::size_t n = 11;  // a full vector chunk plus a ragged tail
+  Matrix<S> input(n);
+  for (std::size_t i = 0; i < n; ++i) input.at(i, (i + 1) % n) = -S::kInf / 2;
+
+  const simd::Tier saved = simd::active_tier();
+  std::vector<Matrix<S>> closures;
+  for (int t = 0; t <= static_cast<int>(simd::detected_tier()); ++t) {
+    const auto tier = static_cast<simd::Tier>(t);
+    SCOPED_TRACE(simd::tier_name(tier));
+    simd::force_tier(tier);
+    Matrix<S> m = input;
+    floyd_warshall(m);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LT(m.at(i, i), 0) << "negative cycle through " << i;
+      for (std::size_t j = 0; j < n; ++j) EXPECT_GE(m.at(i, j), -S::kInf);
+    }
+    closures.push_back(std::move(m));
+  }
+  simd::force_tier(saved);
+  for (std::size_t t = 1; t < closures.size(); ++t) {
+    SCOPED_TRACE(simd::tier_name(static_cast<simd::Tier>(t)));
+    expect_bit_identical(closures[t], closures[0], "floyd_warshall vs scalar");
   }
 }
 

@@ -382,10 +382,6 @@ TEST(SimdDispatch, TierOrderIsCoherent) {
             static_cast<int>(simd::compiled_tier()));
   EXPECT_LE(static_cast<int>(simd::active_tier()),
             static_cast<int>(simd::detected_tier()));
-  if (!simd::compiled_in()) {
-    EXPECT_EQ(simd::compiled_tier(), simd::Tier::kScalar);
-    EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);
-  }
 }
 
 TEST(SimdDispatch, ForceTierClampsToDetected) {
