@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     opts.shard.approx.eps = eps;
   }
   ShardedService service(city.graph, tree, opts);
-  std::printf("serving with %zu shard(s) over %zu NUMA node(s), %zu cores\n",
+  std::printf("serving with %zu shard(s) over %zu NUMA node(s), %u cores\n",
               service.shard_count(), service.topology().nodes.size(),
               service.topology().physical_cores);
   if (approx) {

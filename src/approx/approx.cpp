@@ -45,28 +45,6 @@ QueryResult<TropicalD> rescaled_result(const QueryResult<TropicalI>& r,
   return out;
 }
 
-template <std::size_t B>
-std::vector<QueryResult<TropicalD>> batch_converged(
-    const SeparatorShortestPaths<TropicalI>& engine, double unit,
-    std::span<const Vertex> sources) {
-  std::vector<QueryResult<TropicalD>> results(sources.size());
-  if (sources.empty()) return results;
-  const BatchedLeveledQuery<TropicalI, B> batched(engine.query_engine());
-  const std::size_t blocks = (sources.size() + B - 1) / B;
-  pram::ThreadPool::global().parallel_for(
-      0, blocks,
-      [&](std::size_t blk) {
-        const std::size_t lo = blk * B;
-        const std::size_t len = std::min(B, sources.size() - lo);
-        const auto block = batched.run_block_converged(sources.subspan(lo, len));
-        for (std::size_t i = 0; i < len; ++i) {
-          results[lo + i] = rescaled_result(block[i], unit);
-        }
-      },
-      /*grain=*/1);
-  return results;
-}
-
 }  // namespace
 
 ApproxEngine ApproxEngine::build(const Digraph& g, const SeparatorTree& tree,
@@ -171,27 +149,16 @@ std::vector<QueryResult<TropicalD>> ApproxEngine::distances_batch(
     });
     return results;
   }
-  const std::size_t lanes =
-      policy.lanes == 0 ? s.engine->query_options().batch_lanes : policy.lanes;
-  switch (lanes) {
-    case 1:
-      return batch_converged<1>(*s.engine, s.unit, sources);
-    case 2:
-      return batch_converged<2>(*s.engine, s.unit, sources);
-    case 4:
-      return batch_converged<4>(*s.engine, s.unit, sources);
-    case 8:
-      return batch_converged<8>(*s.engine, s.unit, sources);
-    case 16:
-      return batch_converged<16>(*s.engine, s.unit, sources);
-    case 32:
-      return batch_converged<32>(*s.engine, s.unit, sources);
-    default:
-      SEPSP_CHECK_MSG(false,
-                      "BatchPolicy::lanes must be one of 1, 2, 4, 8, 16, 32 "
-                      "(or 0 for the engine default)");
-      return {};
+  const BatchedLeveledQuery<TropicalI> batched(
+      s.engine->query_engine(),
+      policy.width(s.engine->query_options().batch_lanes));
+  const auto exact = batched.run_all(sources, /*converge=*/true);
+  std::vector<QueryResult<TropicalD>> results;
+  results.reserve(exact.size());
+  for (const QueryResult<TropicalI>& r : exact) {
+    results.push_back(rescaled_result(r, s.unit));
   }
+  return results;
 }
 
 double ApproxEngine::eps() const { return state_->eps; }

@@ -13,7 +13,7 @@
 //
 //   auto result = engine.distances(source);            // one source
 //   auto batch  = engine.distances_batch(sources);     // batched kernel
-//   auto scalar = engine.distances_batch(sources,      // kernel selection
+//   auto wide   = engine.distances_batch(sources,      // 16-lane blocks
 //                     {.lanes = 16});
 //   engine.stats().print(std::cout);                   // observability
 //
@@ -47,9 +47,9 @@ enum class BuilderKind {
 };
 
 /// Kernel selection for distances_batch(). `lanes` is the number of
-/// sources relaxed per edge load by the source-batched kernel
-/// (compile-time-dispatched; one of 1, 2, 4, 8, 16, 32, or 0 for the
-/// engine's configured Options::Query::batch_lanes).
+/// sources relaxed per edge load by the source-batched kernel, a
+/// run-time block width (valid_lane_width(): one of 1, 2, 4, 8, 16, 32,
+/// or 0 for the engine's configured Options::Query::batch_lanes).
 /// `force_per_source` bypasses the batched kernel entirely and runs one
 /// independent scalar query per source — the baseline the batched
 /// kernel is benchmarked against, and the right choice when sources
@@ -57,6 +57,16 @@ enum class BuilderKind {
 struct BatchPolicy {
   std::size_t lanes = 0;
   bool force_per_source = false;
+
+  /// The block width to run: `lanes`, or `engine_default` when 0.
+  /// Aborts on a width valid_lane_width() rejects.
+  std::size_t width(std::size_t engine_default) const {
+    const std::size_t w = lanes == 0 ? engine_default : lanes;
+    SEPSP_CHECK_MSG(valid_lane_width(w),
+                    "BatchPolicy::lanes must be one of 1, 2, 4, 8, 16, 32 "
+                    "(or 0 for the engine default)");
+    return w;
+  }
 };
 
 template <Semiring S = TropicalD>
@@ -96,8 +106,8 @@ class SeparatorShortestPaths {
     Query query;
 
     /// Verifies coherence; called by build() on every options object.
-    /// Rejected combinations (SEPSP_CHECK): a batch_lanes width the
-    /// batched kernel cannot dispatch, a non-default Algorithm 4.1
+    /// Rejected combinations (SEPSP_CHECK): a batch_lanes width
+    /// valid_lane_width() rejects, a non-default Algorithm 4.1
     /// closure paired with the doubling builder, and non-default
     /// doubling knobs paired with the recursive builder.
     Options validated() const {
@@ -242,27 +252,12 @@ class SeparatorShortestPaths {
   std::vector<QueryResult<S>> distances_batch(std::span<const Vertex> sources,
                                               BatchPolicy policy = {}) const {
     if (policy.force_per_source) return per_source_impl(sources);
-    const std::size_t lanes =
-        policy.lanes == 0 ? qopts_.batch_lanes : policy.lanes;
-    switch (lanes) {
-      case 1:
-        return batch_impl<1>(sources);
-      case 2:
-        return batch_impl<2>(sources);
-      case 4:
-        return batch_impl<4>(sources);
-      case 8:
-        return batch_impl<8>(sources);
-      case 16:
-        return batch_impl<16>(sources);
-      case 32:
-        return batch_impl<32>(sources);
-      default:
-        SEPSP_CHECK_MSG(false,
-                        "BatchPolicy::lanes must be one of 1, 2, 4, 8, 16, 32 "
-                        "(or 0 for the engine default)");
-        return {};
-    }
+    const BatchedLeveledQuery<S> batched(*query_,
+                                         policy.width(qopts_.batch_lanes));
+    auto results = batched.run_all(sources);
+    note_blocks(sources.size(), batched.lanes());
+    note_results(results);
+    return results;
   }
 
   /// All-pairs driver (s = n sources).
@@ -329,34 +324,6 @@ class SeparatorShortestPaths {
 #endif
   }
 
-  static constexpr bool valid_lane_width(std::size_t lanes) {
-    return lanes == 1 || lanes == 2 || lanes == 4 || lanes == 8 ||
-           lanes == 16 || lanes == 32;
-  }
-
-  template <std::size_t B>
-  std::vector<QueryResult<S>> batch_impl(
-      std::span<const Vertex> sources) const {
-    std::vector<QueryResult<S>> results(sources.size());
-    if (sources.empty()) return results;
-    const BatchedLeveledQuery<S, B> batched(*query_);
-    const std::size_t blocks = (sources.size() + B - 1) / B;
-    pram::ThreadPool::global().parallel_for(
-        0, blocks,
-        [&](std::size_t blk) {
-          const std::size_t lo = blk * B;
-          const std::size_t len = std::min(B, sources.size() - lo);
-          auto block = batched.run_block(sources.subspan(lo, len));
-          for (std::size_t i = 0; i < len; ++i) {
-            results[lo + i] = std::move(block[i]);
-          }
-          note_block(B, len);
-        },
-        /*grain=*/1);
-    note_results(results);
-    return results;
-  }
-
   /// The unbatched many-source path: one independent LeveledQuery::run
   /// per source, parallelized across sources. Kept as the baseline the
   /// batched kernel is benchmarked against (bench_x_batched) and as the
@@ -388,10 +355,14 @@ class SeparatorShortestPaths {
     counters_->edges.fetch_add(s.edges_scanned, std::memory_order_relaxed);
     counters_->phases.fetch_add(s.phases, std::memory_order_relaxed);
   }
-  void note_block(std::size_t width, std::size_t used) const {
-    counters_->blocks.fetch_add(1, std::memory_order_relaxed);
-    counters_->lanes_used.fetch_add(used, std::memory_order_relaxed);
-    counters_->lane_capacity.fetch_add(width, std::memory_order_relaxed);
+  /// Lane occupancy of one run_all over `sources` sources: blocks of
+  /// `width` lanes, the last one ragged.
+  void note_blocks(std::size_t sources, std::size_t width) const {
+    const std::size_t blocks = (sources + width - 1) / width;
+    counters_->blocks.fetch_add(blocks, std::memory_order_relaxed);
+    counters_->lanes_used.fetch_add(sources, std::memory_order_relaxed);
+    counters_->lane_capacity.fetch_add(blocks * width,
+                                       std::memory_order_relaxed);
   }
   void note_results(std::span<const QueryResult<S>> results) const {
     std::uint64_t edges = 0, phases = 0;
@@ -405,7 +376,7 @@ class SeparatorShortestPaths {
   }
 #else
   void note_run(const QueryStats&) const {}
-  void note_block(std::size_t, std::size_t) const {}
+  void note_blocks(std::size_t, std::size_t) const {}
   void note_results(std::span<const QueryResult<S>>) const {}
 #endif
 

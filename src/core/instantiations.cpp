@@ -42,15 +42,10 @@ template class LeveledQuery<TropicalI>;
 template class LeveledQuery<BooleanSR>;
 template class LeveledQuery<BottleneckSR>;
 
-// The default engine lane width for every semiring, plus the sweep of
-// widths the batched bench compares (tropical only).
-template class BatchedLeveledQuery<TropicalD, 8>;
-template class BatchedLeveledQuery<TropicalI, 8>;
-template class BatchedLeveledQuery<BooleanSR, 8>;
-template class BatchedLeveledQuery<BottleneckSR, 8>;
-template class BatchedLeveledQuery<TropicalD, 1>;
-template class BatchedLeveledQuery<TropicalD, 4>;
-template class BatchedLeveledQuery<TropicalD, 16>;
+template class BatchedLeveledQuery<TropicalD>;
+template class BatchedLeveledQuery<TropicalI>;
+template class BatchedLeveledQuery<BooleanSR>;
+template class BatchedLeveledQuery<BottleneckSR>;
 
 template class SeparatorShortestPaths<TropicalD>;
 template class SeparatorShortestPaths<TropicalI>;

@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <utility>
@@ -566,13 +567,7 @@ class LeveledQuery {
   /// ignored) and returns the counters. The hot path touches only the
   /// caller's buffer — no heap traffic per query.
   QueryStats run_into(Vertex source, std::span<Value> dist) const {
-    SEPSP_CHECK(source < g_->num_vertices());
-    SEPSP_CHECK(dist.size() == g_->num_vertices());
-    std::fill(dist.begin(), dist.end(), S::zero());
-    dist[source] = S::one();
-    QueryStats s;
-    run_schedule(dist.data(), s);
-    return s;
+    return run_source(source, dist, /*converge=*/false);
   }
 
   /// run_into() followed by Bellman–Ford passes over E u E+ until one
@@ -587,56 +582,7 @@ class LeveledQuery {
   /// is reachable (the passes must converge); capped defensively at
   /// num_vertices passes.
   QueryStats run_into_converged(Vertex source, std::span<Value> dist) const {
-    SEPSP_CHECK(source < g_->num_vertices());
-    SEPSP_CHECK(dist.size() == g_->num_vertices());
-    std::fill(dist.begin(), dist.end(), S::zero());
-    dist[source] = S::one();
-    QueryStats s;
-    Value* d = dist.data();
-    {
-      SEPSP_TRACE_SPAN("query.e_passes");
-      scan_e_passes(d, s);
-    }
-    {
-      SEPSP_TRACE_SPAN("query.down_sweep");
-      for (std::uint32_t l = aug_->height + 1; l-- > 0;) {
-        relax(same_[l], d, s);
-        relax(down_[l], d, s);
-        note_level_scan(l, same_[l].size() + down_[l].size());
-      }
-    }
-    {
-      SEPSP_TRACE_SPAN("query.up_sweep");
-      for (std::uint32_t l = 0; l <= aug_->height; ++l) {
-        relax(same_[l], d, s);
-        relax(up_[l], d, s);
-        note_level_scan(l, same_[l].size() + up_[l].size());
-      }
-    }
-    {
-      // The polish subsumes the schedule's trailing E passes: base_ and
-      // shortcut_ together cover E u E+ (the leveled buckets are
-      // duplicates), so iterating these two to quiescence is a superset
-      // of the ell trailing E passes.
-      SEPSP_TRACE_SPAN("query.converge");
-      const std::size_t cap = g_->num_vertices() + 1;
-      std::size_t round = 0;
-      for (; round < cap; ++round) {
-        bool changed = relax(base_, d, s);
-        changed = relax(shortcut_, d, s) || changed;
-        if (!changed) break;
-      }
-      SEPSP_CHECK_MSG(round < cap,
-                      "run_into_converged diverged (negative cycle?)");
-    }
-    {
-      SEPSP_TRACE_SPAN("query.detect_cycles");
-      detect_negative_cycle(d, s);
-    }
-    pram::CostMeter::charge_work(s.edges_scanned);
-    pram::CostMeter::charge_depth(s.phases);
-    note_run(s);
-    return s;
+    return run_source(source, dist, /*converge=*/true);
   }
 
   /// Ablation baseline: diameter-bounded Bellman–Ford over E u E+,
@@ -645,12 +591,8 @@ class LeveledQuery {
   QueryResult<S> run_unscheduled(Vertex source) const {
     QueryResult<S> r = init(source);
     QueryStats s;
-    const std::size_t max_phases = aug_->diameter_bound();
-    for (std::size_t p = 0; p < max_phases; ++p) {
-      bool changed = relax(base_, r.dist.data(), s);
-      changed = relax(shortcut_, r.dist.data(), s) || changed;
-      if (!changed) break;
-    }
+    relax_rounds({&base_, &shortcut_}, aug_->diameter_bound(),
+                 r.dist.data(), s);
     detect_negative_cycle(r.dist.data(), s);
     pram::CostMeter::charge_work(s.edges_scanned);
     pram::CostMeter::charge_depth(s.phases);
@@ -762,10 +704,24 @@ class LeveledQuery {
  private:
   LeveledQuery() = default;  // fork_shared() builds into this
 
-  void run_schedule(Value* dist, QueryStats& s) const {
+  QueryStats run_source(Vertex source, std::span<Value> dist,
+                        bool converge) const {
+    SEPSP_CHECK(source < g_->num_vertices());
+    SEPSP_CHECK(dist.size() == g_->num_vertices());
+    std::fill(dist.begin(), dist.end(), S::zero());
+    dist[source] = S::one();
+    QueryStats s;
+    run_schedule(dist.data(), s, converge);
+    return s;
+  }
+
+  /// The leveled schedule: E passes, down sweep, up sweep, then either
+  /// the trailing E passes or, with `converge`, the fixpoint polish of
+  /// run_into_converged(); then the negative-cycle check.
+  void run_schedule(Value* dist, QueryStats& s, bool converge = false) const {
     {
       SEPSP_TRACE_SPAN("query.e_passes");
-      scan_e_passes(dist, s);
+      relax_rounds({&base_}, aug_->ell, dist, s);
     }
     {
       SEPSP_TRACE_SPAN("query.down_sweep");
@@ -783,9 +739,18 @@ class LeveledQuery {
         note_level_scan(l, same_[l].size() + up_[l].size());
       }
     }
-    {
+    if (converge) {
+      // The polish subsumes the schedule's trailing E passes: base_ and
+      // shortcut_ together cover E u E+ (the leveled buckets are
+      // duplicates), so iterating these two to quiescence is a superset
+      // of the ell trailing E passes.
+      SEPSP_TRACE_SPAN("query.converge");
+      const std::size_t cap = g_->num_vertices() + 1;
+      SEPSP_CHECK_MSG(relax_rounds({&base_, &shortcut_}, cap, dist, s) < cap,
+                      "run_into_converged diverged (negative cycle?)");
+    } else {
       SEPSP_TRACE_SPAN("query.e_passes");
-      scan_e_passes(dist, s);
+      relax_rounds({&base_}, aug_->ell, dist, s);
     }
     {
       SEPSP_TRACE_SPAN("query.detect_cycles");
@@ -864,10 +829,21 @@ class LeveledQuery {
     return changed;
   }
 
-  void scan_e_passes(Value* dist, QueryStats& s) const {
-    for (std::size_t p = 0; p < aug_->ell; ++p) {
-      if (!relax(base_, dist, s)) break;
+  /// Up to `max_rounds` rounds, each one relax() pass over every bucket
+  /// in order, stopping after the first round that changes nothing.
+  /// Returns the rounds that changed something.
+  std::size_t relax_rounds(std::initializer_list<const EdgeBucket<S>*> buckets,
+                           std::size_t max_rounds, Value* dist,
+                           QueryStats& s) const {
+    std::size_t round = 0;
+    for (; round < max_rounds; ++round) {
+      bool changed = false;
+      for (const EdgeBucket<S>* b : buckets) {
+        changed = relax(*b, dist, s) || changed;
+      }
+      if (!changed) break;
     }
+    return round;
   }
 
   /// Parallel relaxation pass: lock-free CAS minimization per target.

@@ -127,7 +127,8 @@ std::optional<std::vector<std::array<double, 3>>> read_dimacs_coords(
                 "unknown line tag at line " + std::to_string(line_number));
       return std::nullopt;
     }
-    if (!(ls >> id >> x >> y) || id == 0 || id > num_vertices) {
+    if (!(ls >> id >> x >> y) || !at_end(ls) || id == 0 ||
+        id > num_vertices) {
       set_error(error, "bad vertex at line " + std::to_string(line_number));
       return std::nullopt;
     }

@@ -13,9 +13,9 @@ namespace sepsp::service {
 
 struct ServiceOptions {
   // --- batch coalescer ------------------------------------------------
-  /// Lane-group width B: requests are coalesced into distances_batch
-  /// calls of at most this many sources (one batched-kernel block).
-  /// Must be a width the kernel dispatches: 1, 2, 4, 8, 16, or 32.
+  /// Lane-group width: requests are coalesced into distances_batch
+  /// calls of at most this many sources (one batched-kernel block, run
+  /// at this width). Must pass valid_lane_width(): 1, 2, 4, 8, 16, or 32.
   std::size_t lanes = 8;
   /// Flush deadline: a partial lane group is dispatched once its oldest
   /// request has waited this long. 0 flushes immediately (no
@@ -81,11 +81,10 @@ struct ServiceOptions {
   SeparatorShortestPaths<TropicalD>::Options engine;
 
   /// Verifies coherence (fatal SEPSP_CHECK on nonsense): a lane width
-  /// the batched kernel cannot dispatch, or a zero-shard cache.
+  /// valid_lane_width() rejects, or a zero-shard cache.
   ServiceOptions validated() const {
     ServiceOptions r = *this;
-    SEPSP_CHECK_MSG(r.lanes == 1 || r.lanes == 2 || r.lanes == 4 ||
-                        r.lanes == 8 || r.lanes == 16 || r.lanes == 32,
+    SEPSP_CHECK_MSG(valid_lane_width(r.lanes),
                     "ServiceOptions::lanes must be one of 1, 2, 4, 8, 16, 32");
     SEPSP_CHECK_MSG(r.max_queue > 0,
                     "ServiceOptions::max_queue must admit at least one "

@@ -196,6 +196,31 @@ TEST(Approx, DistancesBatchMatchesScalar) {
     EXPECT_EQ(results[i].dist, engine.distances(sources[i]))
         << "lane " << i << " source " << sources[i];
   }
+  // Every accepted block width, full and ragged blocks alike.
+  for (std::size_t lanes = 1;
+       lanes <= BatchedLeveledQuery<TropicalI>::kMaxLanes; ++lanes) {
+    if (!valid_lane_width(lanes)) continue;
+    const auto got = engine.distances_batch(sources, {.lanes = lanes});
+    ASSERT_EQ(got.size(), sources.size()) << "lanes " << lanes;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      EXPECT_EQ(got[i].dist, engine.distances(sources[i]))
+          << "lanes " << lanes << " lane " << i << " source " << sources[i];
+    }
+  }
+}
+
+TEST(Approx, BatchPolicyRejectsUnacceptedLaneWidth) {
+  Rng rng(5);
+  const GeneratedGraph gg = make_grid({4, 4}, WeightModel::uniform(1, 9), rng);
+  const SeparatorTree tree =
+      build_separator_tree(Skeleton(gg.graph), make_grid_finder({4, 4}));
+  const ApproxEngine approx = build_approx(gg.graph, tree, 0.1);
+  const auto exact = SeparatorShortestPaths<>::build(gg.graph, tree);
+  const std::vector<Vertex> sources{0, 5};
+  EXPECT_DEATH({ (void)approx.distances_batch(sources, {.lanes = 3}); },
+               "BatchPolicy::lanes");
+  EXPECT_DEATH({ (void)exact.distances_batch(sources, {.lanes = 3}); },
+               "BatchPolicy::lanes");
 }
 
 TEST(Approx, StatsExposeApproxFields) {

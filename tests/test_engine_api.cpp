@@ -101,6 +101,18 @@ TEST(EngineBatch, PolicyVariantsAgreeWithScalarQueries) {
     EXPECT_EQ(def[i].edges_scanned, one.edges_scanned);
     EXPECT_EQ(lanes4[i].edges_scanned, one.edges_scanned);
   }
+  // Every accepted block width, full and ragged blocks alike.
+  for (std::size_t lanes = 1;
+       lanes <= BatchedLeveledQuery<TropicalD>::kMaxLanes; ++lanes) {
+    if (!valid_lane_width(lanes)) continue;
+    const auto got = engine.distances_batch(sources, {.lanes = lanes});
+    ASSERT_EQ(got.size(), sources.size()) << "lanes " << lanes;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      const auto one = engine.distances(sources[i]);
+      EXPECT_EQ(got[i].dist, one.dist) << "lanes " << lanes;
+      EXPECT_EQ(got[i].edges_scanned, one.edges_scanned) << "lanes " << lanes;
+    }
+  }
 }
 
 TEST(EngineBatch, EngineDefaultLaneWidthComesFromOptions) {

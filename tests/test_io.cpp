@@ -120,6 +120,9 @@ TEST(DimacsIo, CoordinateRoundTrip) {
 TEST(DimacsIo, CoordsRejectBadIds) {
   std::stringstream ss("v 9 1.0 2.0\n");
   EXPECT_FALSE(read_dimacs_coords(ss, 3).has_value());
+  // Trailing tokens: "4.5.5" used to read as 4.5 then 0.5.
+  std::stringstream trailing("v 2 4.5.5 6\n");
+  EXPECT_FALSE(read_dimacs_coords(trailing, 3).has_value());
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ TYPED_TEST(BatchParity, FullAndRaggedBlocksMatchScalarRuns) {
   const auto engine =
       SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree);
   const LeveledQuery<S>& scalar = engine.query_engine();
-  const BatchedLeveledQuery<S, 4> batched(scalar);
+  const BatchedLeveledQuery<S> batched(scalar, 4);
 
   // A full block and a ragged one (3 of 4 lanes seeded).
   const std::vector<Vertex> full{0, 13, 40, 80};
@@ -71,7 +71,7 @@ TYPED_TEST(BatchParity, SeededLanesMatchRunMulti) {
   const auto engine =
       SeparatorShortestPaths<S>::build(inst.gg.graph, inst.tree);
   const LeveledQuery<S>& scalar = engine.query_engine();
-  const BatchedLeveledQuery<S, 4> batched(scalar);
+  const BatchedLeveledQuery<S> batched(scalar, 4);
 
   // Lane 1 is a single-source degenerate lane; the others are genuine
   // multi-source seedings.
@@ -116,7 +116,7 @@ TEST(BatchQuery, NegativeCycleFlagsArePerLane) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(g), make_bfs_finder());
   const auto engine = SeparatorShortestPaths<>::build(g, tree);
-  const BatchedLeveledQuery<TropicalD, 8> batched(engine.query_engine());
+  const BatchedLeveledQuery<TropicalD> batched(engine.query_engine(), 8);
 
   const std::vector<Vertex> sources{0, 2, 5, 1, 3, 6};
   const auto block = batched.run_block(sources);
@@ -136,7 +136,7 @@ TEST(BatchQuery, WideLanesHandleShortBlocks) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({6, 6}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const BatchedLeveledQuery<TropicalD, 16> batched(engine.query_engine());
+  const BatchedLeveledQuery<TropicalD> batched(engine.query_engine(), 16);
   const std::vector<Vertex> sources{11, 29};
   const auto block = batched.run_block(sources);
   ASSERT_EQ(block.size(), 2u);
@@ -163,7 +163,7 @@ TEST(BatchQuery, NegativeWeightsMatchScalarExactly) {
   const SeparatorTree tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<>::build(gg.graph, tree);
-  const BatchedLeveledQuery<TropicalD, 4> batched(engine.query_engine());
+  const BatchedLeveledQuery<TropicalD> batched(engine.query_engine(), 4);
   const std::vector<Vertex> sources{0, 21, 42, 63};
   const auto block = batched.run_block(sources);
   for (std::size_t i = 0; i < sources.size(); ++i) {

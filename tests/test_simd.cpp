@@ -276,7 +276,7 @@ TYPED_TEST(SimdKernelParity, BatchedQueryBitIdenticalAcrossTiers) {
   const auto tree =
       build_separator_tree(Skeleton(gg.graph), make_grid_finder({9, 9}));
   const auto engine = SeparatorShortestPaths<S>::build(gg.graph, tree);
-  const BatchedLeveledQuery<S, 8> batched(engine.query_engine());
+  const BatchedLeveledQuery<S> batched(engine.query_engine(), 8);
   const std::vector<Vertex> sources{0, 13, 40, 44, 66, 80, 7};  // ragged
 
   simd::force_tier(simd::Tier::kScalar);
@@ -314,7 +314,7 @@ TEST(SimdEndToEnd, NegativeWeightsBitIdenticalAcrossTiers) {
   const Digraph g = std::move(b).build();
   const auto tree = build_separator_tree(Skeleton(g), make_grid_finder({8, 8}));
   const auto engine = SeparatorShortestPaths<TropicalD>::build(g, tree);
-  const BatchedLeveledQuery<TropicalD, 8> batched(engine.query_engine());
+  const BatchedLeveledQuery<TropicalD> batched(engine.query_engine(), 8);
   const std::vector<Vertex> sources{0, 9, 27, 63};
 
   simd::force_tier(simd::Tier::kScalar);
@@ -343,7 +343,7 @@ TEST(SimdEndToEnd, FuzzSweepAmbientTierVsScalar) {
         make_grid_finder({side, side}));
     const auto engine =
         SeparatorShortestPaths<TropicalD>::build(gg.graph, tree);
-    const BatchedLeveledQuery<TropicalD, 16> batched(engine.query_engine());
+    const BatchedLeveledQuery<TropicalD> batched(engine.query_engine(), 16);
     std::vector<Vertex> sources;
     for (std::size_t i = 0; i < 11; ++i) {
       sources.push_back(
